@@ -45,7 +45,7 @@ from conftest import bench_config, run_once
 
 from repro.metrics.summary import format_table
 from repro.obs.live import CallbackTransport, WorkerLiveSetup
-from repro.runner import Runner, WorldCache, _run_shard
+from repro.runner import Runner, WorldCache, run_shard_task
 
 WORKER_COUNTS = (1, 2, 4)
 N_SHARDS = 8
@@ -70,10 +70,10 @@ def _backend_speedup(cache: WorldCache):
         runner = Runner(config, shards=n_shards, backend=backend,
                         world=world)
         task = runner._tasks("headline", world)[0]
-        # _run_shard is the worker entry point the pool executes; timing
+        # run_shard_task is the worker entry point the pool executes; timing
         # it times exactly what production shards cost, and its
         # ShardResult carries the PhaseProfiler's elapsed_s.
-        results = [_run_shard(task) for _ in range(BACKEND_REPEATS)]
+        results = [run_shard_task(task) for _ in range(BACKEND_REPEATS)]
         timings[backend] = min(r.elapsed_s for r in results)
         shard_results[backend] = results[0]
     return config, n_shards, timings, shard_results
@@ -108,7 +108,7 @@ def _beat_overhead(cache: WorldCache):
     timings: dict[str, float] = {}
     shard_results = {}
     for label, live in (("quiet", None), ("live", setup)):
-        results = [_run_shard(task, live) for _ in range(BACKEND_REPEATS)]
+        results = [run_shard_task(task, live) for _ in range(BACKEND_REPEATS)]
         timings[label] = min(r.elapsed_s for r in results)
         shard_results[label] = results[0]
     return timings, shard_results

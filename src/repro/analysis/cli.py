@@ -7,8 +7,6 @@
     repro-lint --paths a.py,b.py        # lint an explicit file subset
     repro-lint --format json            # machine-readable output
     repro-lint --format sarif           # SARIF 2.1.0 (CI code scanning)
-    repro-lint --cache-dir .lint-cache  # warm-cache incremental runs
-    repro-lint --jobs 4                 # per-file parallelism
     repro-lint --write-baseline         # grandfather current findings
     repro-lint baseline prune           # drop stale baseline entries
     repro-lint baseline prune --check   # fail if stale entries exist
@@ -55,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids (default: all)")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="per-file result cache keyed by content "
-                             "hash (warm runs skip parsing)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker threads for the per-file stage")
     parser.add_argument("--baseline", type=Path, default=None,
                         help=f"baseline file (default: {DEFAULT_BASELINE} "
                              "when it exists)")
@@ -93,8 +85,6 @@ def build_baseline_parser() -> argparse.ArgumentParser:
                         help="report stale entries and exit 1 without "
                              "rewriting the file (CI mode)")
     parser.add_argument("--select", default=None, metavar="RULES")
-    parser.add_argument("--cache-dir", type=Path, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
     return parser
 
 
@@ -119,8 +109,7 @@ def baseline_main(argv: list[str]) -> int:
         return 2
     try:
         report = run_analysis(args.paths or _default_paths(),
-                              select=_split_csv(args.select),
-                              cache_dir=args.cache_dir, jobs=args.jobs)
+                              select=_split_csv(args.select))
     except ValueError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
@@ -163,8 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         paths = args.paths or _default_paths()
     try:
-        report = run_analysis(paths, select=_split_csv(args.select),
-                              cache_dir=args.cache_dir, jobs=args.jobs)
+        report = run_analysis(paths, select=_split_csv(args.select))
     except ValueError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2

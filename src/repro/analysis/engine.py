@@ -1,25 +1,25 @@
-"""Analysis engine: file discovery, session orchestration, suppression.
+"""Analysis engine: file discovery and the on-disk entry point.
 
 The engine is deliberately import-light (stdlib only) so ``repro-lint``
 can run in environments where the simulator's dependencies are absent —
 e.g. a pre-commit hook or a minimal CI container. Heavy lifting lives
-in :mod:`repro.analysis.session` (cached parallel per-file stage plus
-the interprocedural project stage); this module owns file discovery and
-the :class:`AnalysisReport` surface the CLI and tests consume.
+in :mod:`repro.analysis.session` (the per-file stage, the
+interprocedural project stage, and the suppression-filtering merge);
+this module owns file discovery and :func:`run_analysis`, which feeds
+the session from disk.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .context import FileContext
 from .findings import Finding
 from .rules import Rule, get_rules
-from .session import AnalysisSession
+from .session import AnalysisReport, AnalysisSession
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "venv",
                         "node_modules", "build", "dist"})
@@ -110,30 +110,6 @@ def iter_python_files(paths: Sequence[str | Path],
                 yield file_path
 
 
-@dataclass(slots=True)
-class StreamSite:
-    """One statically-resolved RNG stream name and where it is requested."""
-
-    template: str
-    path: str
-    line: int
-
-
-@dataclass(slots=True)
-class AnalysisReport:
-    """Outcome of one engine run over a set of files."""
-
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    files_analyzed: int = 0
-    parse_errors: list[str] = field(default_factory=list)
-    stream_sites: list[StreamSite] = field(default_factory=list)
-    #: Files actually parsed (cache misses) — the cache-speedup metric.
-    files_parsed: int = 0
-    #: Files served from the content-hash cache.
-    cache_hits: int = 0
-
-
 def analyze_source(source: str, path: str,
                    rules: Iterable[Rule] | None = None) -> list[Finding]:
     """Lint one in-memory source blob (the unit-test entry point).
@@ -156,51 +132,20 @@ def analyze_source(source: str, path: str,
 
 
 def run_analysis(paths: Sequence[str | Path],
-                 select: list[str] | None = None,
-                 cache_dir: str | Path | None = None,
-                 jobs: int | None = None) -> AnalysisReport:
+                 select: list[str] | None = None) -> AnalysisReport:
     """Lint every python file under ``paths`` with the selected rules.
 
-    Per-file rules run (possibly cached, possibly parallel) first; the
-    project-level rules (RPR006–008) then run once over the merged
-    module graph. The report is identical whatever the cache state.
+    Reads each file from disk and hands the ``(path, source)`` pairs to
+    :meth:`AnalysisSession.run`; unreadable files join the parse errors.
     """
-    session = AnalysisSession(select=select, cache_dir=cache_dir,
-                              jobs=jobs)
-    files = list(iter_python_files(paths))
-    results = session.run_files(files)
-
-    report = AnalysisReport()
-    summaries_by_path = {}
-    for result in results:
-        if result.parse_error is not None:
-            report.parse_errors.append(result.parse_error)
-            continue
-        assert result.summary is not None
-        report.files_analyzed += 1
-        summaries_by_path[result.path] = result.summary
-        for finding in result.findings:
-            if result.summary.is_suppressed(finding.rule, finding.line):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
-        # Stream-manifest collection covers shipped code only; test
-        # streams are not part of the reproducibility surface.
-        if not result.summary.is_test:
-            for template, line in result.stream_sites:
-                report.stream_sites.append(StreamSite(
-                    template=template, path=result.path, line=line))
-
-    for finding in session.run_project(results):
-        summary = summaries_by_path.get(finding.path)
-        if summary is not None and summary.is_suppressed(finding.rule,
-                                                         finding.line):
-            report.suppressed += 1
-        else:
-            report.findings.append(finding)
-
-    report.files_parsed = session.files_parsed
-    report.cache_hits = session.cache_hits
-    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    report.stream_sites.sort(key=lambda s: (s.template, s.path, s.line))
+    sources: list[tuple[str, str]] = []
+    unreadable: list[str] = []
+    for file_path in iter_python_files(paths):
+        rel = file_path.as_posix()
+        try:
+            sources.append((rel, file_path.read_text(encoding="utf-8")))
+        except (UnicodeDecodeError, OSError) as exc:
+            unreadable.append(f"{rel}: {exc}")
+    report = AnalysisSession(select=select).run(sources)
+    report.parse_errors = sorted(unreadable + report.parse_errors)
     return report

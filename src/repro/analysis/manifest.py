@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .engine import StreamSite
+from .session import StreamSite
 
 _VERSION = 1
 

@@ -8,9 +8,7 @@ which, what a dataclass field's annotation resolves to *in another
 file*. This module provides the data layer for that:
 
 * :class:`ModuleSummary` — everything the interprocedural passes need
-  from one file, extracted in a single AST walk and **JSON-round-trippable**
-  so the analysis session can cache it keyed by content hash (a warm
-  run never re-parses unchanged files);
+  from one file, extracted in a single AST walk;
 * :class:`ModuleGraph` — the project-wide index: summaries by module
   name, symbol resolution across import aliases and ``__init__.py``
   re-exports, and fully-qualified function/class tables the call-graph
@@ -29,9 +27,6 @@ from typing import Iterator, Mapping
 
 from .context import FileContext
 from .rules.units import unit_of
-
-#: Bump when the summary shape changes; part of the session cache key.
-SUMMARY_VERSION = 1
 
 #: Mutating container-method names: calling one of these on a
 #: module-level binding is shared-state mutation across shard runs.
@@ -89,20 +84,6 @@ class UnitRef:
     dim: str
     scale: float
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"display": self.display, "suffix": self.suffix,
-                "dim": self.dim, "scale": self.scale}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object] | None
-                      ) -> "UnitRef | None":
-        """Inverse of :meth:`to_jsonable` (``None`` passes through)."""
-        if row is None:
-            return None
-        return cls(display=str(row["display"]), suffix=str(row["suffix"]),
-                   dim=str(row["dim"]), scale=float(row["scale"]))  # type: ignore[arg-type]
-
     @classmethod
     def of(cls, node: ast.expr) -> "UnitRef | None":
         """Unit of a Name/Attribute expression, or ``None``."""
@@ -123,20 +104,6 @@ class CallArg:
     unit: UnitRef | None
     is_name: bool = False   # value was a bare Name/Attribute
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"position": self.position, "keyword": self.keyword,
-                "line": self.line, "col": self.col, "is_name": self.is_name,
-                "unit": self.unit.to_jsonable() if self.unit else None}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "CallArg":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(position=row["position"], keyword=row["keyword"],  # type: ignore[arg-type]
-                   line=int(row["line"]), col=int(row["col"]),  # type: ignore[arg-type]
-                   is_name=bool(row.get("is_name", False)),
-                   unit=UnitRef.from_jsonable(row.get("unit")))  # type: ignore[arg-type]
-
 
 @dataclass(slots=True)
 class CallSite:
@@ -153,19 +120,6 @@ class CallSite:
     col: int
     args: list[CallArg] = field(default_factory=list)
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"callee": self.callee, "line": self.line, "col": self.col,
-                "args": [arg.to_jsonable() for arg in self.args]}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "CallSite":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(callee=str(row["callee"]), line=int(row["line"]),  # type: ignore[arg-type]
-                   col=int(row["col"]),  # type: ignore[arg-type]
-                   args=[CallArg.from_jsonable(a)
-                         for a in row.get("args", [])])  # type: ignore[union-attr]
-
 
 @dataclass(slots=True)
 class PurityOp:
@@ -177,17 +131,6 @@ class PurityOp:
     line: int
     col: int
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"kind": self.kind, "detail": self.detail,
-                "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "PurityOp":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(kind=str(row["kind"]), detail=str(row["detail"]),
-                   line=int(row["line"]), col=int(row["col"]))  # type: ignore[arg-type]
-
 
 @dataclass(slots=True)
 class ReturnInfo:
@@ -196,17 +139,6 @@ class ReturnInfo:
     line: int
     col: int
     unit: UnitRef | None
-
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"line": self.line, "col": self.col,
-                "unit": self.unit.to_jsonable() if self.unit else None}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "ReturnInfo":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(line=int(row["line"]), col=int(row["col"]),  # type: ignore[arg-type]
-                   unit=UnitRef.from_jsonable(row.get("unit")))  # type: ignore[arg-type]
 
 
 @dataclass(slots=True)
@@ -219,24 +151,6 @@ class AssignInfo:
     target_unit: UnitRef
     value_unit: UnitRef | None = None   # value was a unit-named variable
     value_call: str | None = None       # value was a call to this callee
-
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"line": self.line, "col": self.col, "target": self.target,
-                "target_unit": self.target_unit.to_jsonable(),
-                "value_unit": (self.value_unit.to_jsonable()
-                               if self.value_unit else None),
-                "value_call": self.value_call}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "AssignInfo":
-        """Inverse of :meth:`to_jsonable`."""
-        target_unit = UnitRef.from_jsonable(row["target_unit"])  # type: ignore[arg-type]
-        assert target_unit is not None
-        return cls(line=int(row["line"]), col=int(row["col"]),  # type: ignore[arg-type]
-                   target=str(row["target"]), target_unit=target_unit,
-                   value_unit=UnitRef.from_jsonable(row.get("value_unit")),
-                   value_call=row.get("value_call"))  # type: ignore[arg-type]
 
 
 @dataclass(slots=True)
@@ -254,37 +168,6 @@ class FunctionInfo:
     purity: list[PurityOp] = field(default_factory=list)
     is_method: bool = False
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {
-            "qualname": self.qualname, "line": self.line, "col": self.col,
-            "params": self.params, "kwonly": self.kwonly,
-            "is_method": self.is_method,
-            "calls": [c.to_jsonable() for c in self.calls],
-            "returns": [r.to_jsonable() for r in self.returns],
-            "assigns": [a.to_jsonable() for a in self.assigns],
-            "purity": [p.to_jsonable() for p in self.purity],
-        }
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "FunctionInfo":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            qualname=str(row["qualname"]), line=int(row["line"]),  # type: ignore[arg-type]
-            col=int(row["col"]),  # type: ignore[arg-type]
-            params=list(row.get("params", [])),  # type: ignore[call-overload]
-            kwonly=list(row.get("kwonly", [])),  # type: ignore[call-overload]
-            is_method=bool(row.get("is_method", False)),
-            calls=[CallSite.from_jsonable(c)
-                   for c in row.get("calls", [])],  # type: ignore[union-attr]
-            returns=[ReturnInfo.from_jsonable(r)
-                     for r in row.get("returns", [])],  # type: ignore[union-attr]
-            assigns=[AssignInfo.from_jsonable(a)
-                     for a in row.get("assigns", [])],  # type: ignore[union-attr]
-            purity=[PurityOp.from_jsonable(p)
-                    for p in row.get("purity", [])],  # type: ignore[union-attr]
-        )
-
 
 @dataclass(slots=True)
 class FieldDecl:
@@ -296,23 +179,6 @@ class FieldDecl:
     type_tokens: list[str] = field(default_factory=list)
     lambda_default: bool = False
     mutable_class_default: bool = False
-
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"name": self.name, "line": self.line, "col": self.col,
-                "type_tokens": self.type_tokens,
-                "lambda_default": self.lambda_default,
-                "mutable_class_default": self.mutable_class_default}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "FieldDecl":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(name=str(row["name"]), line=int(row["line"]),  # type: ignore[arg-type]
-                   col=int(row["col"]),  # type: ignore[arg-type]
-                   type_tokens=list(row.get("type_tokens", [])),  # type: ignore[call-overload]
-                   lambda_default=bool(row.get("lambda_default", False)),
-                   mutable_class_default=bool(
-                       row.get("mutable_class_default", False)))
 
 
 @dataclass(slots=True)
@@ -330,29 +196,6 @@ class ClassInfo:
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (cache row)."""
-        return {"qualname": self.qualname, "line": self.line,
-                "col": self.col, "bases": self.bases,
-                "is_dataclass": self.is_dataclass, "frozen": self.frozen,
-                "kw_only": self.kw_only, "slots": self.slots,
-                "fields": [f.to_jsonable() for f in self.fields],
-                "methods": self.methods}
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "ClassInfo":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(qualname=str(row["qualname"]), line=int(row["line"]),  # type: ignore[arg-type]
-                   col=int(row["col"]),  # type: ignore[arg-type]
-                   bases=list(row.get("bases", [])),  # type: ignore[call-overload]
-                   is_dataclass=bool(row.get("is_dataclass", False)),
-                   frozen=bool(row.get("frozen", False)),
-                   kw_only=bool(row.get("kw_only", False)),
-                   slots=bool(row.get("slots", False)),
-                   fields=[FieldDecl.from_jsonable(f)
-                           for f in row.get("fields", [])],  # type: ignore[union-attr]
-                   methods=list(row.get("methods", [])))  # type: ignore[call-overload]
-
 
 @dataclass(slots=True)
 class ModuleSummary:
@@ -367,69 +210,6 @@ class ModuleSummary:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     module_bindings: list[str] = field(default_factory=list)
     mutable_bindings: list[str] = field(default_factory=list)
-    suppress_lines: dict[int, list[str]] = field(default_factory=dict)
-    suppress_file: list[str] = field(default_factory=list)
-    stmt_spans: list[tuple[int, int]] = field(default_factory=list)
-
-    # -- suppression replay (no re-parse on warm cache) ------------------
-
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """Replay :meth:`FileContext.is_suppressed` from cached tables."""
-        if "all" in self.suppress_file or rule in self.suppress_file:
-            return True
-
-        def _on(lineno: int) -> bool:
-            rules = self.suppress_lines.get(lineno, ())
-            return "all" in rules or rule in rules
-
-        if _on(line):
-            return True
-        return any(_on(covered)
-                   for start, end in self.stmt_spans if start <= line <= end
-                   for covered in range(start, end + 1))
-
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (the session cache stores this)."""
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module, "path": self.path,
-            "is_init": self.is_init, "is_test": self.is_test,
-            "imports": self.imports,
-            "functions": {name: info.to_jsonable()
-                          for name, info in self.functions.items()},
-            "classes": {name: info.to_jsonable()
-                        for name, info in self.classes.items()},
-            "module_bindings": self.module_bindings,
-            "mutable_bindings": self.mutable_bindings,
-            "suppress_lines": {str(line): rules for line, rules
-                               in self.suppress_lines.items()},
-            "suppress_file": self.suppress_file,
-            "stmt_spans": [list(span) for span in self.stmt_spans],
-        }
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "ModuleSummary":
-        """Inverse of :meth:`to_jsonable`; raises on version mismatch."""
-        if row.get("version") != SUMMARY_VERSION:
-            raise ValueError(f"summary version {row.get('version')!r} != "
-                             f"{SUMMARY_VERSION}")
-        return cls(
-            module=str(row["module"]), path=str(row["path"]),
-            is_init=bool(row.get("is_init", False)),
-            is_test=bool(row.get("is_test", False)),
-            imports=dict(row.get("imports", {})),  # type: ignore[call-overload]
-            functions={str(k): FunctionInfo.from_jsonable(v)
-                       for k, v in row.get("functions", {}).items()},  # type: ignore[union-attr]
-            classes={str(k): ClassInfo.from_jsonable(v)
-                     for k, v in row.get("classes", {}).items()},  # type: ignore[union-attr]
-            module_bindings=list(row.get("module_bindings", [])),  # type: ignore[call-overload]
-            mutable_bindings=list(row.get("mutable_bindings", [])),  # type: ignore[call-overload]
-            suppress_lines={int(k): list(v) for k, v
-                            in row.get("suppress_lines", {}).items()},  # type: ignore[union-attr]
-            suppress_file=list(row.get("suppress_file", [])),  # type: ignore[call-overload]
-            stmt_spans=[(int(a), int(b)) for a, b
-                        in row.get("stmt_spans", [])],  # type: ignore[union-attr]
-        )
 
 
 # ----------------------------------------------------------------------
@@ -758,11 +538,6 @@ def build_summary(ctx: FileContext) -> ModuleSummary:
         local: _absolutize(target, ctx)
         for local, target in ctx.import_map.items()
     }
-    per_line, file_wide = ctx.suppressions
-    summary.suppress_lines = {line: sorted(rules)
-                              for line, rules in per_line.items()}
-    summary.suppress_file = sorted(file_wide)
-    summary.stmt_spans = list(ctx.stmt_spans)
 
     # Module-level bindings (for shared-mutable-state detection).
     for node in ctx.tree.body:

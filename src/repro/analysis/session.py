@@ -1,215 +1,119 @@
-"""Project-wide analysis session: cached, parallel, deterministic.
+"""Project-wide analysis session: one serial, deterministic pass.
 
 One :class:`AnalysisSession` is one ``repro-lint`` run. It drives three
 stages:
 
 1. **Per-file** — parse each file, run the per-file rules (RPR001–005),
    and extract the :class:`~repro.analysis.modgraph.ModuleSummary` the
-   interprocedural passes need. This stage fans out over a thread pool
-   and is cached per file, keyed by a content hash: a warm run loads
-   findings + summary from the cache directory and never re-parses.
+   interprocedural passes need. Files are visited in sorted path order,
+   one after another.
 2. **Project** — merge the summaries into a
    :class:`~repro.analysis.modgraph.ModuleGraph`, build the shard call
    graph, and run the project-level rules (RPR006–008) once over the
    whole program.
-3. **Merge** — apply suppression comments (replayed from cached tables
-   on warm runs), sort everything by location, and hand back one
-   :class:`~repro.analysis.engine.AnalysisReport`.
+3. **Merge** — filter every finding through its file's
+   :meth:`~repro.analysis.context.FileContext.is_suppressed`, sort
+   everything by location, and hand back one :class:`AnalysisReport`.
 
-Determinism contract: the report is a pure function of the file set and
-rule selection — thread scheduling and cache state never change the
-output, only ``files_parsed``/``cache_hits`` accounting. The cache-
-speedup test asserts on those counters (work actually avoided), not on
-wall clock.
+The report is a pure function of the ``(path, source)`` pairs and the
+rule selection.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .callgraph import SHARD_ENTRY_POINTS, ProjectContext
 from .context import FileContext
 from .findings import Finding
-from .modgraph import SUMMARY_VERSION, ModuleGraph, ModuleSummary, build_summary
-from .rules import Rule, get_project_rules, get_rules
+from .modgraph import ModuleGraph, ModuleSummary, build_summary
+from .rules import get_project_rules, get_rules
 from .rules.rng_streams import iter_stream_calls
-
-#: Bump to invalidate every cache entry (per-file result shape change).
-CACHE_VERSION = 1
 
 
 @dataclass(slots=True)
-class FileResult:
-    """Per-file stage output: findings are *pre-suppression*.
+class StreamSite:
+    """One statically-resolved RNG stream name and where it is requested."""
 
-    Suppression is applied at merge time by replaying the summary's
-    cached comment tables, so a cached result stays valid whether or
-    not the waivers around it change style.
-    """
-
+    template: str
     path: str
+    line: int
+
+
+@dataclass(slots=True)
+class AnalysisReport:
+    """Outcome of one analysis run over a set of files."""
+
     findings: list[Finding] = field(default_factory=list)
-    summary: ModuleSummary | None = None
-    stream_sites: list[tuple[str, int]] = field(default_factory=list)
-    parse_error: str | None = None
-    from_cache: bool = False
-
-    def to_jsonable(self) -> dict[str, object]:
-        """Cache row for one successfully analyzed file."""
-        assert self.summary is not None
-        return {
-            "cache_version": CACHE_VERSION,
-            "path": self.path,
-            "findings": [
-                {"rule": f.rule, "message": f.message, "path": f.path,
-                 "line": f.line, "col": f.col, "scope": f.scope}
-                for f in self.findings
-            ],
-            "summary": self.summary.to_jsonable(),
-            "stream_sites": [list(site) for site in self.stream_sites],
-        }
-
-    @classmethod
-    def from_jsonable(cls, row: Mapping[str, object]) -> "FileResult":
-        """Inverse of :meth:`to_jsonable`; raises on version mismatch."""
-        if row.get("cache_version") != CACHE_VERSION:
-            raise ValueError("cache entry version mismatch")
-        return cls(
-            path=str(row["path"]),
-            findings=[Finding(rule=str(f["rule"]), message=str(f["message"]),
-                              path=str(f["path"]), line=int(f["line"]),  # type: ignore[arg-type]
-                              col=int(f["col"]), scope=str(f["scope"]))  # type: ignore[arg-type]
-                      for f in row.get("findings", [])],  # type: ignore[union-attr]
-            summary=ModuleSummary.from_jsonable(row["summary"]),  # type: ignore[arg-type]
-            stream_sites=[(str(t), int(line))
-                          for t, line in row.get("stream_sites", [])],  # type: ignore[union-attr]
-            from_cache=True,
-        )
-
-
-def _analyze_one(source: str, rel: str, rules: Sequence[Rule]) -> FileResult:
-    """Cold path: parse, run per-file rules, extract the summary."""
-    ctx = FileContext(source, rel)
-    result = FileResult(path=rel)
-    for rule in rules:
-        result.findings.extend(rule.check(ctx))
-    result.findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
-    result.summary = build_summary(ctx)
-    if not ctx.is_test:
-        result.stream_sites = [
-            (template, node.lineno)
-            for node, template in iter_stream_calls(ctx)
-            if template is not None
-        ]
-    return result
+    suppressed: int = 0
+    files_analyzed: int = 0
+    parse_errors: list[str] = field(default_factory=list)
+    stream_sites: list[StreamSite] = field(default_factory=list)
 
 
 class AnalysisSession:
-    """One cached, parallel lint run over a set of files."""
+    """One lint run's rule selection and shard entry points."""
 
     def __init__(self, *, select: list[str] | None = None,
-                 cache_dir: str | Path | None = None,
-                 jobs: int | None = None,
                  entry_points: Iterable[str] = SHARD_ENTRY_POINTS) -> None:
         self.rules = get_rules(select)
         self.project_rules = get_project_rules(select)
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.jobs = jobs if jobs and jobs > 0 else min(
-            8, os.cpu_count() or 1)
         self.entry_points = tuple(entry_points)
-        #: Files actually parsed this run (the cache-speedup metric).
-        self.files_parsed = 0
-        #: Files served from the content-hash cache.
-        self.cache_hits = 0
-        self._rule_signature = ",".join(
-            sorted(r.id for r in self.rules)) + f"|{CACHE_VERSION}|{SUMMARY_VERSION}"
 
-    # -- cache ----------------------------------------------------------
-
-    def _cache_key(self, rel: str, source: str) -> str:
-        blob = f"{self._rule_signature}|{rel}|".encode() + source.encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def _cache_load(self, key: str) -> FileResult | None:
-        if self.cache_dir is None:
-            return None
-        entry = self.cache_dir / f"{key}.json"
-        try:
-            row = json.loads(entry.read_text(encoding="utf-8"))
-            return FileResult.from_jsonable(row)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def _cache_store(self, key: str, result: FileResult) -> None:
-        if self.cache_dir is None or result.summary is None:
-            return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            entry = self.cache_dir / f"{key}.json"
-            tmp = entry.with_suffix(".tmp")
-            tmp.write_text(json.dumps(result.to_jsonable()),
-                           encoding="utf-8")
-            tmp.replace(entry)
-        except OSError:
-            pass  # a cold cache is a slow run, never a failed one
-
-    # -- per-file stage --------------------------------------------------
-
-    def _run_file(self, file_path: Path) -> FileResult:
-        rel = file_path.as_posix()
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (UnicodeDecodeError, OSError) as exc:
-            return FileResult(path=rel, parse_error=f"{rel}: {exc}")
-        key = self._cache_key(rel, source)
-        cached = self._cache_load(key)
-        if cached is not None:
-            return cached
-        try:
-            result = _analyze_one(source, rel, self.rules)
-        except SyntaxError as exc:
-            return FileResult(path=rel, parse_error=f"{rel}: {exc}")
-        self._cache_store(key, result)
-        return result
-
-    def run_files(self, files: Sequence[Path]) -> list[FileResult]:
-        """Per-file stage over ``files``; deterministic path order."""
-        if self.jobs > 1 and len(files) > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(pool.map(self._run_file, files))
-        else:
-            results = [self._run_file(path) for path in files]
-        for result in results:
-            if result.parse_error is not None:
-                continue
-            if result.from_cache:
-                self.cache_hits += 1
-            else:
-                self.files_parsed += 1
-        results.sort(key=lambda r: r.path)
-        return results
-
-    # -- project stage ---------------------------------------------------
-
-    def run_project(self, results: Sequence[FileResult]) -> list[Finding]:
+    def run_project(self, summaries: list[ModuleSummary]) -> list[Finding]:
         """Project-level rules over the merged module graph."""
         if not self.project_rules:
             return []
-        summaries = [r.summary for r in results if r.summary is not None]
         graph = ModuleGraph.from_summaries(summaries)
         project = ProjectContext.build(graph, self.entry_points)
         findings: list[Finding] = []
         for rule in self.project_rules:
             findings.extend(rule.check_project(project))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule,
-                                     f.message))
         return findings
+
+    def run(self, sources: Iterable[tuple[str, str]]) -> AnalysisReport:
+        """All three stages over ``(path, source)`` pairs.
+
+        Unparsable sources become ``parse_errors``; findings (per-file
+        and project) are suppression-filtered and sorted by location.
+        """
+        report = AnalysisReport()
+        contexts: dict[str, FileContext] = {}
+        summaries: list[ModuleSummary] = []
+        findings: list[Finding] = []
+        for path, source in sorted(sources, key=lambda pair: pair[0]):
+            try:
+                ctx = FileContext(source, path)
+            except SyntaxError as exc:
+                report.parse_errors.append(f"{path}: {exc}")
+                continue
+            contexts[ctx.path] = ctx
+            for rule in self.rules:
+                findings.extend(rule.check(ctx))
+            summaries.append(build_summary(ctx))
+            # Stream-manifest collection covers shipped code only; test
+            # streams are not part of the reproducibility surface.
+            if not ctx.is_test:
+                report.stream_sites.extend(
+                    StreamSite(template=template, path=ctx.path,
+                               line=node.lineno)
+                    for node, template in iter_stream_calls(ctx)
+                    if template is not None)
+        report.files_analyzed = len(summaries)
+        findings.extend(self.run_project(summaries))
+
+        for finding in findings:
+            ctx = contexts.get(finding.path)
+            if ctx is not None and ctx.is_suppressed(finding.rule,
+                                                     finding.line):
+                report.suppressed += 1
+            else:
+                report.findings.append(finding)
+        report.findings.sort(
+            key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
+        report.stream_sites.sort(key=lambda s: (s.template, s.path, s.line))
+        return report
 
 
 def analyze_project_sources(sources: Mapping[str, str],
@@ -222,27 +126,14 @@ def analyze_project_sources(sources: Mapping[str, str],
     paths exactly as on disk, so a fixture can impersonate
     ``src/repro/experiments/harness.py`` to exercise the shard entry
     points. Suppression comments are honored. Returns all (per-file +
-    project) findings sorted by location.
+    project) findings sorted by location. Raises ``SyntaxError`` for
+    unparsable input.
     """
     session = AnalysisSession(
-        select=select, jobs=1,
+        select=select,
         entry_points=tuple(entry_points) if entry_points is not None
         else SHARD_ENTRY_POINTS)
-    results: list[FileResult] = []
-    for path in sorted(sources):
-        result = _analyze_one(sources[path], path.replace("\\", "/"),
-                              session.rules)
-        results.append(result)
-    findings: list[Finding] = []
-    by_path = {r.path: r.summary for r in results if r.summary is not None}
-    for result in results:
-        assert result.summary is not None
-        findings.extend(f for f in result.findings
-                        if not result.summary.is_suppressed(f.rule, f.line))
-    for finding in session.run_project(results):
-        summary = by_path.get(finding.path)
-        if summary is None or not summary.is_suppressed(finding.rule,
-                                                        finding.line):
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    report = session.run(sources.items())
+    if report.parse_errors:
+        raise SyntaxError(report.parse_errors[0])
+    return report.findings

@@ -45,6 +45,8 @@ bit-identical, even under a ``--chaos plan.json`` plan of seeded worker
 kills and duplicated results. ``--shards``/``--max-shards`` control the
 shard layout (semantic knobs; the historical silent clamp at 16 auto
 shards is now visible as a ``runner.auto_shards_clamped`` counter).
+The count flags and ``--beat-interval`` must be positive; anything else
+is a one-line usage error (exit 2).
 
 (Equivalently: ``python -m repro ...``.)
 """
@@ -56,9 +58,12 @@ import logging
 import sys
 import time
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import experiment_ids, run_experiment
+
+_N = TypeVar("_N", int, float)
 
 
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
@@ -73,8 +78,23 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         choices=("3g", "3g-fd", "lte", "wifi"))
 
 
+def _positive(cast: Callable[[str], _N]) -> Callable[[str], _N]:
+    """argparse ``type=`` wrapper: parse with ``cast``, require > 0."""
+    def parse(text: str) -> _N:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}") from None
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text!r}")
+        return value
+    return parse
+
+
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive(int), default=1,
                         help="worker processes for shard execution "
                              "(results identical at any value)")
     parser.add_argument("--backend", default="event",
@@ -92,14 +112,14 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
                              "work-stealing, heartbeat-driven retry; "
                              "results bit-identical either way; see "
                              "DESIGN.md §13)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_positive(int), default=None,
                         help="worker processes for --executor dist "
                              "(default: --jobs)")
-    parser.add_argument("--shards", type=int, default=None,
+    parser.add_argument("--shards", type=_positive(int), default=None,
                         help="explicit shard count (a semantic knob: "
                              "each shard serves a shard-local ad-server "
                              "view; default: derived from --users)")
-    parser.add_argument("--max-shards", type=int, default=None,
+    parser.add_argument("--max-shards", type=_positive(int), default=None,
                         help="clamp on the auto-selected shard count "
                              "(default: 16; the run's metrics carry a "
                              "runner.auto_shards_clamped counter when "
@@ -143,7 +163,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "refresh on a TTY, plain lines when piped) "
                              "via the repro.obs.live telemetry plane; "
                              "results stay bit-identical")
-    parser.add_argument("--beat-interval", type=float, metavar="SECONDS",
+    parser.add_argument("--beat-interval", type=_positive(float),
+                        metavar="SECONDS",
                         default=1.0,
                         help="min wall-clock seconds between shard "
                              "heartbeats when the live plane is on "

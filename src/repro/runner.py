@@ -492,10 +492,6 @@ def run_shard_task(task: ShardTask,
     return result
 
 
-#: Backwards-compatible alias (the entry point went public for repro.dist).
-_run_shard = run_shard_task
-
-
 def _write_crash_postmortem(task: ShardTask, live: WorkerLiveSetup,
                             obs: Obs, ring: RingRecorder | None,
                             exc: BaseException) -> None:

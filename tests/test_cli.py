@@ -20,6 +20,22 @@ def test_parser_rejects_unknown_experiment():
         parser.parse_args(["run", "e99"])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--jobs", "0"),
+    ("--workers", "0"),
+    ("--shards", "-1"),
+    ("--max-shards", "0"),
+    ("--beat-interval", "0"),
+])
+def test_non_positive_execution_flag_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["headline", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -175,16 +175,6 @@ class TestCliGrowth:
         assert doc["version"] == "2.1.0"
         assert validate_sarif(doc) == []
 
-    def test_cache_dir_cli_round_trip(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        cache = tmp_path / "cache"
-        assert lint_main(["src/repro/faults", "--cache-dir", str(cache),
-                          "--format", "json"]) == 0
-        assert list(cache.glob("*.json")), "cache dir stayed empty"
-        assert lint_main(["src/repro/faults", "--cache-dir", str(cache),
-                          "--format", "json"]) == 0
-        capsys.readouterr()
-
     def test_baseline_prune_drops_stale_entries(self, monkeypatch,
                                                 tmp_path, capsys):
         monkeypatch.chdir(REPO_ROOT)

@@ -1,22 +1,21 @@
-"""Interprocedural session: module graph, call graph, cache, SARIF.
+"""Interprocedural session: module graph, call graph, on-disk run, SARIF.
 
 Covers the project-wide half of ``repro-lint``: symbol resolution
 across import aliases and ``__init__.py`` re-exports, shard
-reachability, the content-hash result cache (speedup asserted on work
-counters, not wall clock), the gitignore-aware file walker, and the
-SARIF writer with its embedded structural validator.
+reachability, suppression of project findings on an on-disk run, the
+gitignore-aware file walker, and the SARIF writer with its embedded
+structural validator.
 """
 
 from __future__ import annotations
 
 import json
 import textwrap
-from pathlib import Path
 
 from repro.analysis.callgraph import CallGraph, ProjectContext
 from repro.analysis.engine import GitIgnore, iter_python_files, run_analysis
 from repro.analysis.findings import Finding
-from repro.analysis.modgraph import ModuleGraph, ModuleSummary, build_summary
+from repro.analysis.modgraph import ModuleGraph, build_summary
 from repro.analysis.context import FileContext
 from repro.analysis.reporter import LintOutcome
 from repro.analysis.sarif import render_sarif, sarif_report, validate_sarif
@@ -183,99 +182,46 @@ class TestCallGraph:
 
 
 # ---------------------------------------------------------------------
-# Content-hash cache
+# On-disk run: project-rule suppression through the merge
 # ---------------------------------------------------------------------
 
 
-def write_tree(root: Path, n_files: int = 6) -> Path:
-    pkg = root / "src" / "repro" / "sim"
-    pkg.mkdir(parents=True)
-    for i in range(n_files):
-        (pkg / f"mod{i}.py").write_text(
-            f'"""Module {i}."""\n\n\ndef f{i}(x):\n'
-            f'    """Return x."""\n    return x\n')
-    return root / "src"
+class TestOnDiskRun:
+    def test_waivers_suppress_project_findings(self, tmp_path, monkeypatch):
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "experiments").mkdir(parents=True)
+        (pkg / "sim").mkdir()
+        (pkg / "experiments" / "harness.py").write_text(textwrap.dedent("""
+            from repro.sim.helpers import remember
+
+            _SEEN = {}
 
 
-class TestSessionCache:
-    def test_warm_run_avoids_reparsing(self, tmp_path, monkeypatch):
-        src = write_tree(tmp_path)
+            def execute_shard(job):
+                _SEEN.update(
+                    last=job,  # repro-lint: disable=RPR006
+                )
+                return remember(job)
+            """))
+        (pkg / "sim" / "helpers.py").write_text(textwrap.dedent("""
+            # repro-lint: disable-file=RPR001,RPR006
+            import time
+
+            _CACHE = {}
+
+
+            def remember(key):
+                _CACHE[key] = time.time()
+                return key
+            """))
         monkeypatch.chdir(tmp_path)
-        cache = tmp_path / ".lint-cache"
-        cold = run_analysis([src], cache_dir=cache)
-        warm = run_analysis([src], cache_dir=cache)
-        assert cold.files_parsed == cold.files_analyzed > 0
-        assert warm.files_parsed == 0
-        assert warm.cache_hits == cold.files_analyzed
-        # The acceptance bar: a warm full run does >= 3x less parse
-        # work than cold. Asserted on deterministic work counters so
-        # the test cannot be wall-clock flaky.
-        assert cold.files_parsed >= 3 * max(1, warm.files_parsed)
-
-    def test_cache_preserves_output_exactly(self, tmp_path, monkeypatch):
-        src = write_tree(tmp_path)
-        bad = tmp_path / "src" / "repro" / "sim" / "dirty.py"
-        bad.write_text('"""Dirty."""\nimport time\n\n\ndef now():\n'
-                       '    """Stamp."""\n    return time.time()\n')
-        monkeypatch.chdir(tmp_path)
-        cache = tmp_path / ".lint-cache"
-        cold = run_analysis([src], cache_dir=cache)
-        warm = run_analysis([src], cache_dir=cache)
-        assert [f.render() for f in cold.findings] \
-            == [f.render() for f in warm.findings]
-        assert len(cold.findings) >= 1
-
-    def test_edited_file_invalidates_only_itself(self, tmp_path,
-                                                 monkeypatch):
-        src = write_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        cache = tmp_path / ".lint-cache"
-        run_analysis([src], cache_dir=cache)
-        target = tmp_path / "src" / "repro" / "sim" / "mod0.py"
-        target.write_text(target.read_text() + "\n\nY = 2\n")
-        warm = run_analysis([src], cache_dir=cache)
-        assert warm.files_parsed == 1
-
-    def test_corrupt_cache_entry_falls_back(self, tmp_path, monkeypatch):
-        src = write_tree(tmp_path, n_files=2)
-        monkeypatch.chdir(tmp_path)
-        cache = tmp_path / ".lint-cache"
-        run_analysis([src], cache_dir=cache)
-        for entry in cache.glob("*.json"):
-            entry.write_text("{not json")
-        again = run_analysis([src], cache_dir=cache)
-        assert again.files_parsed == again.files_analyzed
-        assert again.parse_errors == []
-
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        src = write_tree(tmp_path)
-        bad = tmp_path / "src" / "repro" / "sim" / "dirty.py"
-        bad.write_text('"""Dirty."""\nimport time\n\n\ndef now():\n'
-                       '    """Stamp."""\n    return time.time()\n')
-        monkeypatch.chdir(tmp_path)
-        serial = run_analysis([src], jobs=1)
-        parallel = run_analysis([src], jobs=4)
-        assert [f.render() for f in serial.findings] \
-            == [f.render() for f in parallel.findings]
-
-    def test_summary_round_trips_through_json(self):
-        ctx = FileContext(textwrap.dedent("""
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True, slots=True)
-            class Snapshot:
-                joules: float
-
-            def merge(a_j, b_j):
-                total_j = a_j
-                return total_j
-            """), "src/repro/metrics/snap.py")
-        summary = build_summary(ctx)
-        restored = ModuleSummary.from_jsonable(
-            json.loads(json.dumps(summary.to_jsonable())))
-        assert restored.to_jsonable() == summary.to_jsonable()
-        assert restored.classes["Snapshot"].frozen
-        assert restored.functions["merge"].params == ["a_j", "b_j"]
+        report = run_analysis(["src"])
+        assert report.parse_errors == []
+        assert report.files_analyzed == 2
+        assert report.findings == []
+        # _SEEN.update (line waiver on a continuation line), _CACHE
+        # write (file waiver, RPR006), time.time() (file waiver, RPR001).
+        assert report.suppressed == 3
 
 
 # ---------------------------------------------------------------------
