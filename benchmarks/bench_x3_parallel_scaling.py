@@ -19,7 +19,7 @@ the suite stays fast). Two assertions: metrics are bit-for-bit
 identical at every worker count (the runner's core contract), and on a
 machine with >= 4 CPUs, 4 workers beat the serial run by >= 2x. On
 smaller machines the speedup line is recorded but not asserted —
-process-pool overhead with one core can only slow things down.
+worker-process overhead with one core can only slow things down.
 
 **Beat overhead (X3c).** Times one batched shard with the live
 telemetry plane on (a ``BeatEmitter`` at an aggressive 0.2s interval
@@ -45,7 +45,7 @@ from conftest import bench_config, run_once
 
 from repro.metrics.summary import format_table
 from repro.obs.live import CallbackTransport, WorkerLiveSetup
-from repro.runner import Runner, WorldCache, run_shard_task
+from repro.runner import Runner, WorldCache, run_shard
 
 WORKER_COUNTS = (1, 2, 4)
 N_SHARDS = 8
@@ -69,11 +69,11 @@ def _backend_speedup(cache: WorldCache):
     for backend in ("event", "batched"):
         runner = Runner(config, shards=n_shards, backend=backend,
                         world=world)
-        task = runner._tasks("headline", world)[0]
-        # run_shard_task is the worker entry point the pool executes; timing
+        job = runner._jobs("headline", world)[0]
+        # run_shard is the entry point every shard runs through; timing
         # it times exactly what production shards cost, and its
         # ShardResult carries the PhaseProfiler's elapsed_s.
-        results = [run_shard_task(task) for _ in range(BACKEND_REPEATS)]
+        results = [run_shard(job) for _ in range(BACKEND_REPEATS)]
         timings[backend] = min(r.elapsed_s for r in results)
         shard_results[backend] = results[0]
     return config, n_shards, timings, shard_results
@@ -98,7 +98,7 @@ def _beat_overhead(cache: WorldCache):
     world = cache.get(config)
     runner = Runner(config, shards=N_SHARDS, backend="batched",
                     world=world)
-    task = runner._tasks("headline", world)[0]
+    job = runner._jobs("headline", world)[0]
     setup = WorkerLiveSetup(
         transport=CallbackTransport(lambda beat: None),
         beat_interval_s=0.2,
@@ -108,7 +108,7 @@ def _beat_overhead(cache: WorldCache):
     timings: dict[str, float] = {}
     shard_results = {}
     for label, live in (("quiet", None), ("live", setup)):
-        results = [run_shard_task(task, live) for _ in range(BACKEND_REPEATS)]
+        results = [run_shard(job, live=live) for _ in range(BACKEND_REPEATS)]
         timings[label] = min(r.elapsed_s for r in results)
         shard_results[label] = results[0]
     return timings, shard_results

@@ -49,6 +49,7 @@ SERIALIZATION_ROOTS: dict[str, dict[str, bool]] = {
     "repro.dist.protocol.JobAck": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.JobNack": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.ResultEnvelope": {"frozen": True, "kw_only": True},
+    "repro.obs.live.ShardBeat": {"frozen": True},
     "repro.faults.chaos.CoordinatorChaos": {"frozen": True,
                                             "kw_only": True},
 }

@@ -16,8 +16,10 @@
     adprefetch obs postmortem show obs-runs/postmortems/shard-003-crash.json
 
 ``run``, ``headline``, and ``report`` accept ``--jobs N`` to execute
-user shards across N worker processes (see :class:`repro.runner.Runner`;
-results are bit-for-bit identical at any ``--jobs``) and
+user shards across N worker processes through the :mod:`repro.dist`
+coordinator (lease-based work-stealing, heartbeat-driven retry;
+DESIGN.md §13; see :class:`repro.runner.Runner` — results are
+bit-for-bit identical at any ``--jobs``) and
 ``--backend event|batched`` to pick the shard execution engine
 (``batched`` vectorizes the hot paths and is bit-identical to the
 reference engine under the contract in :mod:`repro.sim.batched`; see
@@ -38,13 +40,12 @@ heartbeat pacing; results stay bit-identical with the plane on or off).
 ``run``, ``headline``, and ``report`` also accept ``--faults plan.json``
 to inject deterministic faults (see :mod:`repro.faults`); results stay
 bit-identical at any ``--jobs`` for any plan.
-``--executor dist --workers N`` dispatches shards through the
-:mod:`repro.dist` coordinator/worker runner (lease-based work-stealing,
-heartbeat-driven retry; DESIGN.md §13) instead of the process pool —
-bit-identical, even under a ``--chaos plan.json`` plan of seeded worker
-kills and duplicated results. ``--shards``/``--max-shards`` control the
-shard layout (semantic knobs; the historical silent clamp at 16 auto
-shards is now visible as a ``runner.auto_shards_clamped`` counter).
+They stay bit-identical under a ``--chaos plan.json`` plan of seeded
+worker kills and duplicated results, which always runs through the
+coordinator, even at ``--jobs 1``. ``--shards``/``--max-shards``
+control the shard layout (semantic knobs; the historical silent clamp
+at 16 auto shards is now visible as a ``runner.auto_shards_clamped``
+counter).
 The count flags and ``--beat-interval`` must be positive; anything else
 is a one-line usage error (exit 2).
 
@@ -95,8 +96,10 @@ def _positive(cast: Callable[[str], _N]) -> Callable[[str], _N]:
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive(int), default=1,
-                        help="worker processes for shard execution "
-                             "(results identical at any value)")
+                        help="worker processes for shard execution; "
+                             "above 1 the repro.dist coordinator "
+                             "dispatches shards to them (results "
+                             "identical at any value; see DESIGN.md §13)")
     parser.add_argument("--backend", default="event",
                         choices=("event", "batched"),
                         help="shard execution engine: the reference "
@@ -104,17 +107,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
                              "batched engine (equivalent under the "
                              "contract in repro.sim.batched; see "
                              "DESIGN.md §10)")
-    parser.add_argument("--executor", default="pool",
-                        choices=("pool", "dist"),
-                        help="shard dispatcher: 'pool' maps shards over "
-                             "a process pool; 'dist' runs the repro.dist "
-                             "coordinator/worker runner (lease-based "
-                             "work-stealing, heartbeat-driven retry; "
-                             "results bit-identical either way; see "
-                             "DESIGN.md §13)")
-    parser.add_argument("--workers", type=_positive(int), default=None,
-                        help="worker processes for --executor dist "
-                             "(default: --jobs)")
     parser.add_argument("--shards", type=_positive(int), default=None,
                         help="explicit shard count (a semantic knob: "
                              "each shard serves a shard-local ad-server "
@@ -125,11 +117,12 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
                              "runner.auto_shards_clamped counter when "
                              "the clamp bites)")
     parser.add_argument("--chaos", metavar="PLAN.json", default=None,
-                        help="coordinator chaos plan for --executor dist "
-                             "(JSON; see repro.faults.CoordinatorChaos): "
-                             "seeded worker kills, duplicated and "
-                             "delayed results. Results must stay "
-                             "bit-identical under any plan")
+                        help="coordinator chaos plan (JSON; see "
+                             "repro.faults.CoordinatorChaos): seeded "
+                             "worker kills, duplicated and delayed "
+                             "results. The run goes through the "
+                             "coordinator even at --jobs 1; results "
+                             "must stay bit-identical under any plan")
 
 
 def _add_faults_arg(parser: argparse.ArgumentParser) -> None:
@@ -212,10 +205,10 @@ def _install_exec_options(args: argparse.Namespace) -> None:
     """Translate CLI execution flags into the process default.
 
     Mirrors :func:`_install_obs_options`: ``Runner`` instances created
-    downstream (experiment registry, report writer) pick the executor,
-    worker count, shard clamp, and chaos plan up via
+    downstream (experiment registry, report writer) pick the shard
+    layout, shard clamp, and chaos plan up via
     :func:`repro.runner.default_exec_options` without every call site
-    growing executor parameters.
+    growing those parameters.
     """
     from repro.faults.chaos import CoordinatorChaos
     from repro.runner import ExecOptions, set_default_exec_options
@@ -224,8 +217,6 @@ def _install_exec_options(args: argparse.Namespace) -> None:
     chaos = (CoordinatorChaos.from_json_file(chaos_path)
              if chaos_path is not None else None)
     set_default_exec_options(ExecOptions(
-        executor=getattr(args, "executor", "pool"),
-        workers=getattr(args, "workers", None),
         shards=getattr(args, "shards", None),
         max_shards=getattr(args, "max_shards", None),
         chaos=chaos,
@@ -281,8 +272,6 @@ def _cmd_headline(args: argparse.Namespace) -> int:
     _install_exec_options(args)
     result = Runner(_config_from(args), parallelism=args.jobs,
                     backend=args.backend,
-                    executor=args.executor,
-                    workers=args.workers,
                     shards=args.shards,
                     max_shards=args.max_shards).run("headline")
     comparison = result.comparison

@@ -1,13 +1,14 @@
 """repro.dist — coordinator/worker distributed shard runner.
 
-Promotes the :class:`repro.runner.Runner` from a single-host process
-pool to a **coordinator** that dispatches
-:class:`~repro.runner.ShardTask`\\ s to worker processes over a
-pluggable :class:`~repro.dist.transport.Transport`, with lease-based
-work-stealing, heartbeat-silence retry, bounded requeue on worker
-loss, and duplicate-result discard — all without changing a single
-merged bit: shard execution is a pure function of the job (repro-lint
-RPR006), so a dropped worker is just a re-executed pure function.
+The :class:`repro.runner.Runner`'s one parallel executor: a
+**coordinator** that dispatches
+:class:`~repro.experiments.harness.ShardJob`\\ s to worker processes
+over a pluggable :class:`~repro.dist.transport.Transport`, with
+lease-based work-stealing, heartbeat-renewed leases and
+heartbeat-silence retry, bounded requeue on worker loss, and
+duplicate-result discard — all without changing a single merged bit:
+shard execution is a pure function of the job (repro-lint RPR006), so
+a dropped worker is just a re-executed pure function.
 
 Layering (modelled on a coordinator-core / coordinator-node split):
 
@@ -17,13 +18,15 @@ Layering (modelled on a coordinator-core / coordinator-node split):
   ``multiprocessing.Manager`` queue backend today, with the seam
   documented for a socket/multi-host backend.
 * :mod:`~repro.dist.worker` — the worker loop: claim → execute →
-  stream :class:`~repro.obs.live.ShardBeat`\\ s → deliver.
+  stream :class:`~repro.obs.live.ShardBeat`\\ s on the control
+  channel → deliver.
 * :mod:`~repro.dist.coordinator` — dispatch, leases, retries, and the
   deterministic shard-index-ordered result fold.
 
-Select it with ``Runner(config, executor="dist", workers=N)`` or
-``adprefetch ... --executor dist --workers N``; chaos-test it with a
-:class:`repro.faults.CoordinatorChaos` plan (``--chaos plan.json``).
+Every ``Runner(config, parallelism=N)`` run with N > 1 effective
+workers uses it (``adprefetch ... --jobs N``), as does any run with a
+:class:`repro.faults.CoordinatorChaos` plan (``--chaos plan.json``),
+even at one worker.
 See DESIGN.md §13 for the lease/steal/retry state machine and the
 bit-identity argument.
 """

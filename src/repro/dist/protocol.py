@@ -9,13 +9,18 @@ The messages sit inside the repro-lint RPR007 serialization closure
 next to :class:`~repro.experiments.harness.ShardJob`: no callables,
 handles, locks, or lambda defaults may ever creep into their fields.
 
-Payloads (the :class:`~repro.runner.ShardTask` a job carries, the
-:class:`~repro.runner.ShardResult` a result delivers) deliberately ride
-*beside* the envelope as a transport-level pair, not inside it: the
-envelope is the routable header — small, versioned, JSON-clean — and
-the payload is whatever the executor's serializer (pickle today)
-moves. A multi-host transport swaps the payload codec without touching
-the protocol.
+Payloads (the :class:`~repro.experiments.harness.ShardJob` a job
+carries, the :class:`~repro.runner.ShardResult` a result delivers)
+deliberately ride *beside* the envelope as a transport-level pair, not
+inside it: the envelope is the routable header — small, versioned,
+JSON-clean — and the payload is whatever the transport's serializer
+(pickle today) moves. A multi-host transport swaps the payload codec
+without touching the protocol.
+
+One record from outside this module shares the control channel: the
+shard heartbeat, a frozen :class:`~repro.obs.live.ShardBeat` sent with
+payload ``None``. It is in the RPR007 closure too and round-trips
+through its own ``to_jsonable``/``from_jsonable``.
 
 Wire compatibility is versioned by :data:`PROTOCOL_VERSION`, stamped
 into every :class:`WorkerHello`; the coordinator rejects a worker whose
@@ -27,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-#: Wire-format version; bump on any message shape change.
-PROTOCOL_VERSION = 1
+#: Wire-format version; bump on any message shape change (2: shard
+#: heartbeats joined the control channel).
+PROTOCOL_VERSION = 2
 
 #: ``type`` tag → message class (filled by ``_register``).
 MESSAGE_TYPES: dict[str, type] = {}

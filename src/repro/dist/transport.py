@@ -5,8 +5,8 @@ traffic); each worker sees the picklable :class:`WorkerEndpoint` the
 transport hands out (claim jobs, send control messages). Every item on
 the wire is an ``(envelope, payload)`` pair: the envelope is one of the
 JSON-round-trippable :mod:`~repro.dist.protocol` messages, the payload
-is the executor-serialized job or result body (pickle on the queue
-backend), or ``None`` for pure control messages.
+is the serialized job or result body (pickle on the queue backend),
+or ``None`` for pure control messages and shard heartbeats.
 
 Backends
 --------
@@ -82,10 +82,9 @@ class Transport(ABC):
 class QueueWorkerEndpoint(WorkerEndpoint):
     """Endpoint over two ``multiprocessing.Manager`` queue proxies.
 
-    Send failures are swallowed the same way the live plane's
-    :class:`~repro.obs.live.QueueTransport` swallows them: if the
-    coordinator is gone, a worker's farewell traffic must not turn
-    into a crash loop.
+    Send failures are swallowed: if the coordinator is gone, a
+    worker's farewell traffic (and its shard beats, which use this
+    same ``send``) must not turn into a crash loop.
     """
 
     def __init__(self, jobs: Any, control: Any) -> None:

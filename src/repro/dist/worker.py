@@ -1,12 +1,13 @@
 """The worker loop: claim a job, execute the shard, deliver the result.
 
 A worker is deliberately thin: all simulation work goes through
-:func:`repro.runner.run_shard_task`, the same entry point the process
-pool uses — so a shard computes bit-for-bit the same result on either
-executor, live telemetry (:class:`~repro.obs.live.ShardBeat` streams)
-flows through the same :class:`~repro.obs.live.BeatTransport`, and a
-crashing shard writes the same flight-recorder postmortem via
-:func:`repro.obs.flightrec.capture_shard_crash`.
+:func:`repro.runner.run_shard`, the same entry point the in-process
+loop uses — so a shard computes bit-for-bit the same result wherever
+it runs, and a crashing shard writes the same flight-recorder
+postmortem via :func:`repro.obs.flightrec.capture_shard_crash`. Live
+telemetry (:class:`~repro.obs.live.ShardBeat` streams) goes out over
+this worker's own endpoint, on the control channel beside acks and
+results.
 
 Failure semantics:
 
@@ -44,18 +45,20 @@ CLAIM_TIMEOUT_S = 0.25
 
 
 def worker_main(endpoint: WorkerEndpoint, worker_id: str, *,
+                trace: bool = False,
                 live: WorkerLiveSetup | None = None,
                 chaos: CoordinatorChaos | None = None,
                 idle_beat_interval_s: float = 1.0) -> None:
     """Run one worker until a :data:`~repro.dist.transport.STOP` arrives.
 
     The process entry point the coordinator spawns (top-level, so it
-    pickles under any ``multiprocessing`` start method). ``live`` is
-    the same :class:`~repro.obs.live.WorkerLiveSetup` the pool path
-    ships beside its tasks; it carries the beat transport, the flight
-    recorder ring size, and the postmortem directory.
+    pickles under any ``multiprocessing`` start method). ``trace`` is
+    the run-wide trace flag; ``live`` is the
+    :class:`~repro.obs.live.WorkerLiveSetup` that carries the beat
+    transport (over ``endpoint``), the flight-recorder ring size, and
+    the postmortem directory.
     """
-    from repro.runner import run_shard_task
+    from repro.runner import run_shard
 
     endpoint.send(WorkerHello(worker_id=worker_id, pid=os.getpid()))
     jobs_done = 0
@@ -69,7 +72,7 @@ def worker_main(endpoint: WorkerEndpoint, worker_id: str, *,
                                          jobs_done=jobs_done))
                 last_idle_beat = now
             continue
-        envelope, task = item
+        envelope, job = item
         if envelope == STOP:
             return
         assert isinstance(envelope, JobEnvelope)
@@ -78,9 +81,9 @@ def worker_main(endpoint: WorkerEndpoint, worker_id: str, *,
                              attempt=envelope.attempt))
         started = time.perf_counter()
         try:
-            result = run_shard_task(task, live)
+            result = run_shard(job, trace=trace, live=live)
         except Exception as exc:
-            # run_shard_task already wrote the crash postmortem.
+            # run_shard already wrote the crash postmortem.
             endpoint.send(JobNack(
                 worker_id=worker_id, job_id=envelope.job_id,
                 shard_index=envelope.shard_index, attempt=envelope.attempt,

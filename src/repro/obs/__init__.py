@@ -58,7 +58,6 @@ from .live import (
     LivePlane,
     LiveSnapshot,
     NullBeatEmitter,
-    QueueTransport,
     ShardBeat,
     StragglerEvent,
     render_progress,
@@ -138,7 +137,6 @@ __all__ = [
     "PhaseProfiler",
     "PhaseStats",
     "Postmortem",
-    "QueueTransport",
     "RegressReport",
     "ResourceTelemetry",
     "RingRecorder",

@@ -263,12 +263,12 @@ def capture_shard_crash(*, shard_index: int, n_shards: int,
                         ) -> Path | None:
     """Serialize a crashing shard's flight recorder into a postmortem.
 
-    The one shared failure-path writer: the pool worker entry point
-    (:func:`repro.runner.run_shard_task`) calls it directly, and the
-    distributed worker inherits it by reusing that same entry point —
-    so a crash postmortem is byte-format-identical whichever executor
-    ran the shard, and ``adprefetch obs postmortem show`` renders both
-    the same way.
+    The one shared failure-path writer: the shard entry point
+    (:func:`repro.runner.run_shard`) calls it, and both the in-process
+    loop and every coordinator worker run shards through that entry
+    point — so a crash postmortem is byte-format-identical wherever the
+    shard ran, and ``adprefetch obs postmortem show`` renders both the
+    same way.
 
     Best-effort by contract: it runs while the shard's original
     exception is in flight, so a postmortem that cannot be written

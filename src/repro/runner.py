@@ -46,7 +46,6 @@ import hashlib
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -55,9 +54,6 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - break the runner <-> dist cycle
     from repro.dist.coordinator import DistStats
 
-import numpy as np
-
-from repro.client.timeline import ClientTimeline
 from repro.experiments.config import ExperimentConfig
 from repro.faults.chaos import CoordinatorChaos
 from repro.experiments.harness import (
@@ -109,7 +105,6 @@ from repro.obs.trace import (
     write_chrome,
     write_jsonl,
 )
-from repro.radio.profiles import RadioProfile
 from repro.sim.batched import (
     DEFAULT_CONTRACT,
     prefetch_metrics,
@@ -119,9 +114,6 @@ from repro.traces.stats import epoch_slot_counts
 from repro.workloads.appstore import TOP15, AppProfile
 
 SYSTEMS = ("prefetch", "realtime", "headline")
-
-#: Shard execution engines ``Runner(executor=...)`` selects between.
-EXECUTORS = ("pool", "dist")
 
 #: Target shard granularity for ``shards=None``: one shard per this many
 #: users, so the default layout is a function of the config alone.
@@ -177,27 +169,19 @@ class ExecOptions:
     """Execution-plane knobs shared by every Runner in a process.
 
     Mirrors the :class:`~repro.obs.runtime.ObsOptions` process-default
-    pattern: the CLI installs one of these from ``--executor`` /
-    ``--workers`` / ``--max-shards`` / ``--chaos`` and the experiment
-    runners pick it up without threading executor arguments through
-    every call site. All fields are execution knobs only — under the
-    determinism contract they never change a merged bit (``max_shards``
-    excepted: like ``shards`` it is a semantic knob, which is exactly
-    why its silent historical clamp became visible).
+    pattern: the CLI installs one of these from ``--shards`` /
+    ``--max-shards`` / ``--chaos`` and the experiment runners pick it
+    up without threading these arguments through every call site.
+    ``chaos`` is an execution knob — a chaos run merges bit-identically
+    — while ``shards`` and ``max_shards`` are semantic knobs, which is
+    exactly why the silent historical clamp became visible.
     """
 
-    executor: str = "pool"
-    workers: int | None = None
     shards: int | None = None
     max_shards: int | None = None
     chaos: CoordinatorChaos | None = None
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}; "
-                             f"expected one of {EXECUTORS}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.max_shards is not None and self.max_shards < 1:
@@ -214,7 +198,7 @@ def set_default_exec_options(options: ExecOptions | None) -> None:
 
 
 def default_exec_options() -> ExecOptions:
-    """The installed process default, or the quiet pool default."""
+    """The installed process default, or the quiet default."""
     if _DEFAULT_EXEC_OPTIONS is not None:
         return _DEFAULT_EXEC_OPTIONS
     return ExecOptions()
@@ -373,37 +357,6 @@ class WorldSource:
 
 
 @dataclass(slots=True)
-class ShardTask:
-    """Everything one worker needs to run one shard.
-
-    Shipped to worker processes by pickle, so it carries plain data
-    (timeline arrays, profiles, counts) rather than live simulator
-    state.
-    """
-
-    config: ExperimentConfig
-    system: str
-    shard_index: int
-    n_shards: int
-    apps: tuple[AppProfile, ...]
-    timelines: dict[str, ClientTimeline]
-    profile_of: dict[str, RadioProfile]
-    counts: dict[str, np.ndarray]
-    horizon: float
-    trace: bool = False
-    backend: str = "event"
-
-    def to_job(self) -> ShardJob:
-        """The :class:`ShardJob` this task executes."""
-        return ShardJob(
-            config=self.config, mode=self.system, apps=self.apps,
-            timelines=self.timelines, profile_of=self.profile_of,
-            counts=self.counts, horizon=self.horizon,
-            shard_index=self.shard_index, n_shards=self.n_shards,
-            backend=self.backend)
-
-
-@dataclass(slots=True)
 class ShardResult:
     """One shard's contribution to the merged run result.
 
@@ -424,53 +377,51 @@ class ShardResult:
     elapsed_s: float = 0.0
 
 
-def run_shard_task(task: ShardTask,
-                   live: WorkerLiveSetup | None = None) -> ShardResult:
-    """Worker entry point: run one shard's epoch loop(s).
+def run_shard(job: ShardJob, *, trace: bool = False,
+              live: WorkerLiveSetup | None = None) -> ShardResult:
+    """Run one shard's epoch loop(s): the one shard entry point.
 
-    The **shared** entry point of both executors: the process pool maps
-    it over tasks directly, and every :mod:`repro.dist` worker calls it
-    for each claimed job — so a shard computes bit-for-bit the same
-    result, streams the same beats, and writes the same crash
-    postmortem whichever executor dispatched it.
+    The in-process loop calls it for each job, and every
+    :mod:`repro.dist` worker calls it for each claimed job — so a
+    shard computes bit-for-bit the same result, streams the same
+    beats, and writes the same crash postmortem wherever it ran.
 
     Activates a fresh shard-local :class:`~repro.obs.runtime.Obs`
     bundle around the run, so every component constructed inside binds
-    shard-local instruments; tracing uses a per-shard
-    :class:`~repro.obs.trace.MemoryRecorder` only when requested.
+    shard-local instruments; ``trace`` records the shard's events into
+    a per-shard :class:`~repro.obs.trace.MemoryRecorder`.
 
-    When a :class:`~repro.obs.live.WorkerLiveSetup` is handed in beside
-    the task, the trace recorder is additionally wrapped in a
+    When a :class:`~repro.obs.live.WorkerLiveSetup` is handed in, the
+    trace recorder is additionally wrapped in a
     :class:`~repro.obs.flightrec.RingRecorder` flight recorder and a
     :class:`~repro.obs.live.BeatEmitter` publishes out-of-band
     heartbeats over the setup's transport. Both observe only: a live
     shard computes bit-for-bit what a quiet shard computes. If the
     shard raises, the flight recorder's ring is serialized into a
-    crash postmortem before the exception propagates to the pool.
+    crash postmortem before the exception propagates.
     """
     profiler = PhaseProfiler()
-    inner = (MemoryRecorder(shard=task.shard_index) if task.trace
-             else None)
+    inner = MemoryRecorder(shard=job.shard_index) if trace else None
     beats: BeatEmitter | None = None
     ring: RingRecorder | None = None
     recorder = inner
     if live is not None:
         ring = RingRecorder(inner if inner is not None else NULL_RECORDER,
-                            shard=task.shard_index,
+                            shard=job.shard_index,
                             capacity=live.ring_size)
         recorder = ring
         beats = BeatEmitter(live.transport,
-                            shard_index=task.shard_index,
-                            n_shards=task.n_shards,
+                            shard_index=job.shard_index,
+                            n_shards=job.n_shards,
                             interval_s=live.beat_interval_s)
     obs = Obs.create(recorder, beats)
-    result = ShardResult(shard_index=task.shard_index,
-                         n_users=len(task.timelines))
+    result = ShardResult(shard_index=job.shard_index,
+                         n_users=len(job.timelines))
     if beats is not None:
         beats.beat(0.0, users=result.n_users, force=True)  # hello
     try:
         with activate(obs), profiler.phase("shard.execute"):
-            execution = execute_shard(task.to_job())
+            execution = execute_shard(job)
             if execution.prefetch is not None:
                 artifacts: PrefetchArtifacts = execution.prefetch
                 result.prefetch = artifacts.outcome
@@ -479,38 +430,24 @@ def run_shard_task(task: ShardTask,
             result.realtime = execution.realtime
     except BaseException as exc:
         if live is not None:
-            _write_crash_postmortem(task, live, obs, ring, exc)
+            # Best-effort: a postmortem that cannot be written returns
+            # None rather than masking the shard's own exception.
+            capture_shard_crash(
+                shard_index=job.shard_index, n_shards=job.n_shards,
+                system=live.system or job.mode,
+                backend=live.backend or job.backend,
+                postmortem_dir=live.postmortem_dir, exc=exc, ring=ring,
+                counters=obs.metrics.snapshot().counters)
         if beats is not None:
             beats.beat(0.0, users=result.n_users, failed=True)
         raise
     if beats is not None:
-        beats.beat(task.horizon, users=result.n_users, final=True)
+        beats.beat(job.horizon, users=result.n_users, final=True)
     result.metrics = obs.metrics.snapshot()
-    result.events = obs.recorder.events() if task.trace else None
+    result.events = obs.recorder.events() if trace else None
     stats = profiler.snapshot().phases.get("shard.execute")
     result.elapsed_s = stats.total_s if stats is not None else 0.0
     return result
-
-
-def _write_crash_postmortem(task: ShardTask, live: WorkerLiveSetup,
-                            obs: Obs, ring: RingRecorder | None,
-                            exc: BaseException) -> None:
-    """Capture a crashing shard's black box (shared obs helper).
-
-    Runs on the worker's failure path only; a postmortem that cannot
-    be written must not mask the original shard exception — the
-    delegate returns ``None`` in that case rather than raising.
-    """
-    capture_shard_crash(
-        shard_index=task.shard_index,
-        n_shards=task.n_shards,
-        system=live.system or task.system,
-        backend=live.backend or task.backend,
-        postmortem_dir=live.postmortem_dir,
-        exc=exc,
-        ring=ring,
-        counters=obs.metrics.snapshot().counters,
-    )
 
 
 def canonical_shard_results(
@@ -611,10 +548,10 @@ class RunResult:
     artifacts_dir: Path | None = None
     resources: ResourceTelemetry = field(default_factory=ResourceTelemetry)
     postmortems: tuple[Path, ...] = ()
-    #: Distributed-executor accounting (``None`` for pool runs). Kept
-    #: out of ``metrics`` on purpose: requeues and duplicate discards
+    #: Coordinator accounting (``None`` for in-process runs). Kept out
+    #: of ``metrics`` on purpose: requeues and duplicate discards
     #: describe the unreliable substrate, not the simulation, and the
-    #: merged snapshot must stay bit-identical across executors.
+    #: merged snapshot must stay bit-identical at any parallelism.
     dist: "DistStats | None" = None
 
     def result_metrics(self) -> dict[str, float]:
@@ -664,8 +601,13 @@ class Runner:
     config:
         The experiment parameterisation.
     parallelism:
-        Worker processes for shard execution. Purely an execution knob:
-        results are bit-for-bit identical at any value.
+        Worker processes for shard execution. With one effective worker
+        (``min(parallelism, shards)``) and no chaos plan, shards run
+        one after another in this process; otherwise the
+        :class:`repro.dist.Coordinator` dispatches them to that many
+        worker processes with lease-based work-stealing and retry.
+        Purely an execution knob: results are bit-for-bit identical at
+        any value.
     shards:
         Shard count, or ``None`` for :func:`auto_shard_count`. This *is*
         a semantic knob — each shard serves a shard-local ad-server
@@ -696,26 +638,19 @@ class Runner:
         ``--trace``/``--metrics-out`` flags (see
         :func:`repro.obs.runtime.set_default_obs_options`); pass
         ``ObsOptions()`` explicitly to force the quiet default.
-    executor:
-        Shard execution engine: ``"pool"`` (in-process / process-pool
-        map, the historical path) or ``"dist"`` (the
-        :mod:`repro.dist` coordinator/worker runner with lease-based
-        work-stealing and retry). Purely an execution knob: merged
-        results are bit-for-bit identical across executors. ``None``
-        falls back to the process default installed by the CLI's
-        ``--executor`` flag (see :func:`set_default_exec_options`).
-    workers:
-        Worker-process count for the ``"dist"`` executor (defaults to
-        ``parallelism``). Purely an execution knob.
     max_shards:
         Clamp on the *auto* shard count (``shards=None``); ``None``
         keeps the historical :data:`MAX_AUTO_SHARDS`. A semantic knob
         like ``shards``; when the clamp actually bites, the run's
         merged metrics carry a ``runner.auto_shards_clamped`` counter.
     chaos:
-        Optional :class:`~repro.faults.CoordinatorChaos` plan for the
-        ``"dist"`` executor (seeded worker kills / duplicated /
-        delayed results). Chaos runs must still merge bit-identically.
+        Optional :class:`~repro.faults.CoordinatorChaos` plan (seeded
+        worker kills / duplicated / delayed results). A non-empty plan
+        always runs through the coordinator, even at
+        ``parallelism=1``: a kill needs a separate worker process.
+        Chaos runs must still merge bit-identically. ``None`` falls
+        back to the process default installed by the CLI's ``--chaos``
+        flag (see :func:`set_default_exec_options`).
     """
 
     def __init__(self, config: ExperimentConfig, *,
@@ -727,8 +662,6 @@ class Runner:
                  world: World | None = None,
                  apps: Sequence[AppProfile] = TOP15,
                  obs: ObsOptions | None = None,
-                 executor: str | None = None,
-                 workers: int | None = None,
                  max_shards: int | None = None,
                  chaos: CoordinatorChaos | None = None) -> None:
         if parallelism < 1:
@@ -739,13 +672,6 @@ class Runner:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}")
         exec_defaults = default_exec_options()
-        executor = executor if executor is not None else exec_defaults.executor
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-        workers = workers if workers is not None else exec_defaults.workers
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
         max_shards = (max_shards if max_shards is not None
                       else exec_defaults.max_shards)
         if max_shards is not None and max_shards < 1:
@@ -754,10 +680,10 @@ class Runner:
         self.parallelism = int(parallelism)
         self.shards = shards if shards is not None else exec_defaults.shards
         self.backend = backend
-        self.executor = executor
-        self.workers = workers
         self.max_shards = max_shards
-        self.chaos = chaos if chaos is not None else exec_defaults.chaos
+        chaos = chaos if chaos is not None else exec_defaults.chaos
+        self.chaos = chaos if chaos is not None and not chaos.is_empty \
+            else None
         self.source = (source if source is not None
                        else WorldSource(cache=cache, world=world, apps=apps))
         self.obs = obs
@@ -775,41 +701,37 @@ class Runner:
         unclamped = max(1, n_users // USERS_PER_SHARD)
         return unclamped > auto_shard_count(n_users, self.max_shards)
 
-    def _tasks(self, system: str, world: World,
-               trace: bool = False) -> list[ShardTask]:
+    def _jobs(self, system: str, world: World) -> list[ShardJob]:
         user_ids = list(world.timelines)
         n_shards = self.resolve_shards(len(user_ids))
         counts = epoch_slot_counts(world.trace, world.refresh_of,
                                    self.config.epoch_s)
-        tasks = []
-        for index, chunk in enumerate(partition_users(user_ids, n_shards)):
-            tasks.append(ShardTask(
+        return [
+            ShardJob(
                 config=self.config,
-                system=system,
-                shard_index=index,
-                n_shards=n_shards,
+                mode=system,
                 apps=world.apps,
                 timelines={uid: world.timelines[uid] for uid in chunk},
                 profile_of={uid: world.profile_of[uid] for uid in chunk},
                 counts={uid: counts[uid] for uid in chunk},
                 horizon=world.trace.horizon,
-                trace=trace,
+                shard_index=index,
+                n_shards=n_shards,
                 backend=self.backend,
-            ))
-        return tasks
+            )
+            for index, chunk in enumerate(partition_users(user_ids,
+                                                          n_shards))]
 
     def run(self, system: str = "headline") -> RunResult:
         """Execute ``system`` over the config's population.
 
         ``system`` is ``"prefetch"``, ``"realtime"``, or ``"headline"``
-        (both, compared on the identical trace). Under the ``"pool"``
-        executor shards run serially in-process at ``parallelism=1``,
-        otherwise across a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; under
-        ``"dist"`` a :class:`repro.dist.Coordinator` dispatches them to
-        worker processes with lease-based stealing and retry. Every
-        path merges shard results in shard-index order with duplicates
-        discarded, so the metrics are identical.
+        (both, compared on the identical trace). With one effective
+        worker and no chaos plan the shards run serially in this
+        process; otherwise a :class:`repro.dist.Coordinator` dispatches
+        them to worker processes with lease-based stealing and retry.
+        Both paths merge shard results in shard-index order with
+        duplicates discarded, so the metrics are identical.
         """
         if system not in SYSTEMS:
             raise ValueError(
@@ -817,29 +739,34 @@ class Runner:
         options = self.obs if self.obs is not None else default_obs_options()
         trace = bool(options.trace) if options is not None else False
         live = options.live if options is not None else None
+        if live is not None:
+            live = self._with_postmortem_dir(live, options)
         profiler = PhaseProfiler()
         started = time.perf_counter()
         with profiler.phase("world.build"):
             world = self.source.world_for(self.config)
-        tasks = self._tasks(system, world, trace)
-        workers = min(self.parallelism, len(tasks))
-        if live is not None:
-            live = self._with_postmortem_dir(live, options)
-        plane: LivePlane | None = None
+        jobs = self._jobs(system, world)
+        workers = min(self.parallelism, len(jobs))
         dist_stats: "DistStats | None" = None
-        dist_postmortems: tuple[Path, ...] = ()
-        if self.executor == "pool" and live is not None:
-            plane = LivePlane(live, n_shards=len(tasks), system=system,
-                              backend=self.backend,
-                              parallel=workers > 1)
+        postmortems: tuple[Path, ...] = ()
         with profiler.phase("shards.execute"):
-            if self.executor == "dist":
+            if workers == 1 and self.chaos is None:
+                if live is None:
+                    results = [run_shard(job, trace=trace) for job in jobs]
+                else:
+                    with LivePlane(live, n_shards=len(jobs), system=system,
+                                   backend=self.backend) as plane:
+                        setup = plane.worker_setup()
+                        results = [run_shard(job, trace=trace, live=setup)
+                                   for job in jobs]
+                    postmortems = tuple(plane.postmortems)
+            else:
                 from repro.dist.coordinator import Coordinator
 
                 coordinator = Coordinator(
-                    tasks,
-                    workers=(self.workers if self.workers is not None
-                             else self.parallelism),
+                    jobs,
+                    workers=workers,
+                    trace=trace,
                     live=(live if live is not None
                           else self._with_postmortem_dir(LiveOptions(),
                                                          options)),
@@ -849,27 +776,7 @@ class Runner:
                 )
                 results = coordinator.run()
                 dist_stats = coordinator.stats
-                dist_postmortems = tuple(coordinator.postmortems)
-            elif plane is not None:
-                plane.start()
-                setup = plane.worker_setup()
-                try:
-                    if workers > 1:
-                        with ProcessPoolExecutor(max_workers=workers) as pool:
-                            results = list(pool.map(
-                                run_shard_task, tasks, [setup] * len(tasks)))
-                    else:
-                        results = [run_shard_task(task, setup)
-                                   for task in tasks]
-                except BaseException:
-                    plane.finish(failed=True)
-                    raise
-                plane.finish()
-            elif workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_shard_task, tasks))
-            else:
-                results = [run_shard_task(task) for task in tasks]
+                postmortems = tuple(coordinator.postmortems)
         results = canonical_shard_results(results)
         for shard in results:
             profiler.add(f"shard.{shard.shard_index}.execute",
@@ -887,8 +794,8 @@ class Runner:
                              (r.metrics for r in results), MetricsSnapshot())
             if self._auto_clamp_bites(len(world.timelines)):
                 # Deterministic in (config, max_shards) alone — never in
-                # executor or parallelism — so folding it into the merged
-                # snapshot keeps cross-executor bit-identity intact.
+                # parallelism — so folding it into the merged snapshot
+                # keeps bit-identity across parallelism intact.
                 metrics = metrics.merge(MetricsSnapshot(
                     counters={"runner.auto_shards_clamped": 1.0}))
             events: list[TraceEvent] = []
@@ -897,7 +804,7 @@ class Runner:
                     events.extend(shard.events or [])
         elapsed_s = time.perf_counter() - started
         manifest = build_manifest(
-            self.config, system=system, n_shards=len(tasks),
+            self.config, system=system, n_shards=len(jobs),
             parallelism=self.parallelism, trace_enabled=trace,
             elapsed_s=elapsed_s, counter_totals=metrics.counters,
             backend=self.backend,
@@ -915,7 +822,7 @@ class Runner:
             resources=resources)
         result = RunResult(
             system=system,
-            n_shards=len(tasks),
+            n_shards=len(jobs),
             parallelism=self.parallelism,
             elapsed_s=elapsed_s,
             prefetch=prefetch,
@@ -927,8 +834,7 @@ class Runner:
             trace_events=tuple(events),
             artifacts_dir=artifacts_dir,
             resources=resources,
-            postmortems=(tuple(plane.postmortems)
-                         if plane is not None else dist_postmortems),
+            postmortems=postmortems,
             dist=dist_stats,
         )
         if options is not None and options.ledger is not None:

@@ -20,9 +20,9 @@ _SOURCE = WorldSource()
 
 @pytest.fixture(autouse=True)
 def _reset_exec_options():
-    """CLI entry points install process-default ExecOptions (``--executor``
-    / ``--workers`` / ...); clear them after every test so a CLI test
-    can't silently turn later Runners distributed."""
+    """CLI entry points install process-default ExecOptions (``--shards``
+    / ``--chaos`` / ...); clear them after every test so a CLI test
+    can't silently reshard or chaos-test later Runners."""
     from repro.runner import set_default_exec_options
     yield
     set_default_exec_options(None)

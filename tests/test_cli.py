@@ -22,7 +22,6 @@ def test_parser_rejects_unknown_experiment():
 
 @pytest.mark.parametrize("flag, value", [
     ("--jobs", "0"),
-    ("--workers", "0"),
     ("--shards", "-1"),
     ("--max-shards", "0"),
     ("--beat-interval", "0"),

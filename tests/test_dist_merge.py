@@ -24,7 +24,7 @@ from repro.runner import (
     _merge_prefetch,
     _merge_realtime,
     canonical_shard_results,
-    run_shard_task,
+    run_shard,
 )
 
 N_SHARDS = 3
@@ -41,8 +41,7 @@ ARRIVALS = st.lists(
 def shard_results(tiny_config, tiny_world):
     """Real shard results of one headline run, in shard order."""
     runner = Runner(tiny_config, shards=N_SHARDS, world=tiny_world)
-    tasks = runner._tasks("headline", tiny_world)
-    return [run_shard_task(task) for task in tasks]
+    return [run_shard(job) for job in runner._jobs("headline", tiny_world)]
 
 
 @pytest.fixture(scope="module")

@@ -364,15 +364,14 @@ def test_healthy_run_never_trips_watchdog(tiny_config, tiny_world,
 
 def test_live_plane_serial_collects_beats(tiny_config, tiny_world):
     plane = LivePlane(LiveOptions(beat_interval_s=0.0), n_shards=2,
-                      system="realtime", parallel=False)
+                      system="realtime")
     plane.start()
     setup = plane.worker_setup()
-    from repro.runner import run_shard_task
+    from repro.runner import run_shard
     runner = Runner(tiny_config, shards=2, world=tiny_world)
     world = runner.source.world_for(tiny_config)
-    tasks = runner._tasks("realtime", world)
-    for task in tasks:
-        run_shard_task(task, setup)
+    for job in runner._jobs("realtime", world):
+        run_shard(job, live=setup)
     plane.finish()
     snap = plane.aggregator.snapshot()
     assert snap.done == 2 and snap.failed == 0

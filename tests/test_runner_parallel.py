@@ -7,6 +7,7 @@ import pytest
 import repro.runner as runner_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import ShardJob, execute_shard
+from repro.faults.chaos import CoordinatorChaos
 from repro.metrics.outcomes import compare
 from repro.runner import (
     ExecOptions,
@@ -93,17 +94,21 @@ def test_auto_clamp_emits_counter_without_touching_results(
 
 def test_exec_options_default_reaches_new_runners(tiny_config):
     try:
-        set_default_exec_options(ExecOptions(workers=2, max_shards=3))
+        chaos = CoordinatorChaos(seed=1, kill_prob=0.5)
+        set_default_exec_options(ExecOptions(shards=2, max_shards=3,
+                                             chaos=chaos))
         runner = Runner(tiny_config)
-        assert runner.executor == "pool"
-        assert runner.workers == 2 and runner.max_shards == 3
+        assert runner.shards == 2 and runner.max_shards == 3
+        assert runner.chaos == chaos
         # Explicit arguments beat the installed default.
         assert Runner(tiny_config, max_shards=5).max_shards == 5
     finally:
         set_default_exec_options(None)
     assert Runner(tiny_config).max_shards is None
+    # An empty chaos plan can never fire: the run stays in-process.
+    assert Runner(tiny_config, chaos=CoordinatorChaos()).chaos is None
     with pytest.raises(ValueError):
-        ExecOptions(executor="quantum")
+        ExecOptions(shards=0)
     with pytest.raises(ValueError):
         ExecOptions(max_shards=0)
 
