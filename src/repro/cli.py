@@ -49,6 +49,14 @@ counter).
 The count flags and ``--beat-interval`` must be positive; anything else
 is a one-line usage error (exit 2).
 
+Each ``run``/``headline``/``report`` invocation installs its execution
+flags as one process-default :class:`repro.runner.ExecOptions` (which
+holds every execution default, e.g. ``--jobs 1`` and ``--backend
+event``) and its observability flags as one
+:class:`repro.obs.runtime.ObsOptions`; every ``Runner`` downstream
+reads them, and the next invocation replaces both, so no flag outlives
+its call.
+
 (Equivalently: ``python -m repro ...``.)
 """
 
@@ -62,6 +70,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import BACKENDS
 from repro.experiments.registry import experiment_ids, run_experiment
 
 _N = TypeVar("_N", int, float)
@@ -95,18 +104,19 @@ def _positive(cast: Callable[[str], _N]) -> Callable[[str], _N]:
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_positive(int), default=1,
-                        help="worker processes for shard execution; "
-                             "above 1 the repro.dist coordinator "
-                             "dispatches shards to them (results "
-                             "identical at any value; see DESIGN.md §13)")
-    parser.add_argument("--backend", default="event",
-                        choices=("event", "batched"),
-                        help="shard execution engine: the reference "
-                             "event-driven engine or the vectorized "
-                             "batched engine (equivalent under the "
-                             "contract in repro.sim.batched; see "
-                             "DESIGN.md §10)")
+    parser.add_argument("--jobs", type=_positive(int), default=None,
+                        help="worker processes for shard execution "
+                             "(default: 1); above 1 the repro.dist "
+                             "coordinator dispatches shards to them "
+                             "(results identical at any value; see "
+                             "DESIGN.md §13)")
+    parser.add_argument("--backend", default=None,
+                        choices=BACKENDS,
+                        help="shard execution engine (default: event): "
+                             "the reference event-driven engine or the "
+                             "vectorized batched engine (equivalent "
+                             "under the contract in repro.sim.batched; "
+                             "see DESIGN.md §10)")
     parser.add_argument("--shards", type=_positive(int), default=None,
                         help="explicit shard count (a semantic knob: "
                              "each shard serves a shard-local ad-server "
@@ -164,63 +174,49 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "(default: 1.0)")
 
 
-def _install_obs_options(args: argparse.Namespace) -> None:
-    """Translate CLI observability flags into the process default.
+def _install_options(args: argparse.Namespace) -> None:
+    """Install the CLI's observability and execution flags as the
+    process defaults.
 
     ``Runner`` instances created anywhere downstream (experiment
-    registry, report writer) pick these options up via
-    :func:`repro.obs.runtime.default_obs_options`.
+    registry, report writer) pick them up via
+    :func:`repro.obs.runtime.default_obs_options` and
+    :func:`repro.runner.default_exec_options`. Both are installed on
+    every call, so one call's flags never leak into the next.
     """
+    from repro.faults.chaos import CoordinatorChaos
     from repro.obs import log
     from repro.obs.live import LiveOptions
     from repro.obs.runtime import ObsOptions, set_default_obs_options
+    from repro.runner import ExecOptions, set_default_exec_options
 
-    if getattr(args, "verbose", False):
+    if args.verbose:
         log.enable(logging.DEBUG)
-    trace = bool(getattr(args, "trace", False))
-    metrics_out = getattr(args, "metrics_out", None)
-    ledger = getattr(args, "ledger", None)
-    progress = bool(getattr(args, "progress", False))
-    if metrics_out is None and trace:
+    metrics_out = args.metrics_out
+    if metrics_out is None and args.trace:
         metrics_out = DEFAULT_OBS_DIR
     live = None
-    if progress:
+    if args.progress:
         # The postmortem directory rides beside the run artifacts (or
         # under the default obs dir when none was requested).
         live = LiveOptions(
-            beat_interval_s=float(getattr(args, "beat_interval", 1.0)),
+            beat_interval_s=args.beat_interval,
             progress=True,
-            postmortem_dir=(Path(metrics_out) / "postmortems"
-                            if metrics_out is not None
-                            else Path(DEFAULT_OBS_DIR) / "postmortems"))
-    if metrics_out is not None or ledger is not None or live is not None:
-        set_default_obs_options(ObsOptions(
+            postmortem_dir=Path(metrics_out or DEFAULT_OBS_DIR)
+            / "postmortems")
+    obs = None
+    if metrics_out is not None or args.ledger is not None or live is not None:
+        obs = ObsOptions(
             out_dir=Path(metrics_out) if metrics_out is not None else None,
-            trace=trace,
-            ledger=Path(ledger) if ledger is not None else None,
-            live=live))
-
-
-def _install_exec_options(args: argparse.Namespace) -> None:
-    """Translate CLI execution flags into the process default.
-
-    Mirrors :func:`_install_obs_options`: ``Runner`` instances created
-    downstream (experiment registry, report writer) pick the shard
-    layout, shard clamp, and chaos plan up via
-    :func:`repro.runner.default_exec_options` without every call site
-    growing those parameters.
-    """
-    from repro.faults.chaos import CoordinatorChaos
-    from repro.runner import ExecOptions, set_default_exec_options
-
-    chaos_path = getattr(args, "chaos", None)
-    chaos = (CoordinatorChaos.from_json_file(chaos_path)
-             if chaos_path is not None else None)
-    set_default_exec_options(ExecOptions(
-        shards=getattr(args, "shards", None),
-        max_shards=getattr(args, "max_shards", None),
-        chaos=chaos,
-    ))
+            trace=args.trace,
+            ledger=Path(args.ledger) if args.ledger is not None else None,
+            live=live)
+    set_default_obs_options(obs)
+    chaos = (CoordinatorChaos.from_json_file(args.chaos)
+             if args.chaos is not None else None)
+    set_default_exec_options(ExecOptions().override(
+        parallelism=args.jobs, backend=args.backend, shards=args.shards,
+        max_shards=args.max_shards, chaos=chaos))
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
@@ -250,15 +246,13 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.runner import WorldSource
 
-    _install_obs_options(args)
-    _install_exec_options(args)
+    _install_options(args)
     config = _config_from(args)
     ids = experiment_ids() if args.experiment == "all" else [args.experiment]
     source = WorldSource()  # one world provider for the whole invocation
     for eid in ids:
         started = time.perf_counter()
-        result = run_experiment(eid, config, jobs=args.jobs,
-                                backend=args.backend, source=source)
+        result = run_experiment(eid, config, source=source)
         print(result.render())
         print(f"[{eid} took {time.perf_counter() - started:.1f}s]\n")
     return 0
@@ -268,12 +262,8 @@ def _cmd_headline(args: argparse.Namespace) -> int:
     from repro.metrics.summary import fmt_pct
     from repro.runner import Runner
 
-    _install_obs_options(args)
-    _install_exec_options(args)
-    result = Runner(_config_from(args), parallelism=args.jobs,
-                    backend=args.backend,
-                    shards=args.shards,
-                    max_shards=args.max_shards).run("headline")
+    _install_options(args)
+    result = Runner(_config_from(args)).run("headline")
     comparison = result.comparison
     print("Paper claim: >50% ad-energy reduction, negligible revenue "
           "loss and SLA violation rate.")
@@ -298,11 +288,9 @@ def _cmd_headline(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import write_report
 
-    _install_obs_options(args)
-    _install_exec_options(args)
+    _install_options(args)
     ids = args.only.split(",") if args.only else None
-    path = write_report(args.path, _config_from(args), ids=ids,
-                        jobs=args.jobs, backend=args.backend)
+    path = write_report(args.path, _config_from(args), ids=ids)
     print(f"report written to {path}")
     return 0
 

@@ -78,7 +78,6 @@ def _row(policy_name: str, comparison) -> DispatchRow:
 
 def run_e10(config: ExperimentConfig | None = None,
             max_replicas: int = 4, *,
-            jobs: int = 1, backend: str = "event",
             source: "WorldSource | None" = None) -> DispatchAblation:
     """Compare dispatch policies with the rest of the system fixed."""
     from repro.runner import Runner, WorldSource
@@ -88,8 +87,7 @@ def run_e10(config: ExperimentConfig | None = None,
     world = (source or WorldSource()).world_for(base)
 
     def headline(variant):
-        return Runner(variant, parallelism=jobs, backend=backend,
-                      world=world).run("headline").comparison
+        return Runner(variant, world=world).run("headline").comparison
 
     rows = []
     for policy, kwargs in POLICY_VARIANTS:

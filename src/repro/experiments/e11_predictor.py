@@ -58,7 +58,6 @@ class PredictorAblation:
 
 def run_e11(config: ExperimentConfig | None = None,
             predictors: tuple[str, ...] = DEFAULT_PREDICTORS, *,
-            jobs: int = 1, backend: str = "event",
             source: "WorldSource | None" = None) -> PredictorAblation:
     """Swap the client model; keep everything else fixed."""
     from repro.runner import Runner, WorldSource
@@ -68,8 +67,7 @@ def run_e11(config: ExperimentConfig | None = None,
     rows = []
     for predictor in predictors:
         variant = config.variant(predictor=predictor)
-        comparison = Runner(variant, parallelism=jobs, backend=backend,
-                            world=world).run("headline").comparison
+        comparison = Runner(variant, world=world).run("headline").comparison
         rows.append(PredictorRow(
             predictor=predictor,
             energy_savings=comparison.energy_savings,

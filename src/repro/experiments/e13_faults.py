@@ -127,7 +127,6 @@ def _system_config(system: str, config: ExperimentConfig,
 
 def run_e13(config: ExperimentConfig | None = None, *,
             intensities: tuple[float, ...] = INTENSITIES,
-            jobs: int = 1, backend: str = "event",
             source: "WorldSource | None" = None) -> FaultTable:
     """Sweep fault intensity for each serving system on one world."""
     from repro.runner import Runner, WorldSource
@@ -141,8 +140,7 @@ def run_e13(config: ExperimentConfig | None = None, *,
         for intensity in intensities:
             run_config = _system_config(system, config,
                                         plan_for(intensity, config))
-            runner = Runner(run_config, parallelism=jobs, backend=backend,
-                            world=world)
+            runner = Runner(run_config, world=world)
             if system == "realtime":
                 outcome = runner.run("realtime").realtime
                 failure_rate = (outcome.unfilled_slots / outcome.total_slots

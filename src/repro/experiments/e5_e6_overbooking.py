@@ -80,12 +80,11 @@ def _point(label: str, comparison: Comparison) -> KPoint:
 
 def run_e5_e6(config: ExperimentConfig | None = None,
               ks: tuple[int, ...] = DEFAULT_KS, *,
-              jobs: int = 1, backend: str = "event",
               source: "WorldSource | None" = None) -> OverbookingSweep:
     """Run the k sweep plus the full model (cached per config+ks).
 
-    ``jobs`` parallelises shard execution; results are jobs- and
-    backend-invariant, so the cache key deliberately ignores them.
+    Results are invariant under the execution knobs (parallelism,
+    backend), so the cache key deliberately ignores them.
     """
     from repro.runner import Runner, WorldSource
 
@@ -99,8 +98,7 @@ def run_e5_e6(config: ExperimentConfig | None = None,
     world = (source or WorldSource()).world_for(config)
 
     def headline(variant):
-        return Runner(variant, parallelism=jobs, backend=backend,
-                      world=world).run("headline").comparison
+        return Runner(variant, world=world).run("headline").comparison
 
     points = []
     for k in ks:

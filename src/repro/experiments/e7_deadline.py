@@ -64,7 +64,6 @@ class DeadlineSweep:
 
 def run_e7(config: ExperimentConfig | None = None,
            deadlines_h: tuple[float, ...] = DEFAULT_DEADLINES_H, *,
-           jobs: int = 1, backend: str = "event",
            source: "WorldSource | None" = None) -> DeadlineSweep:
     """Sweep the show-by deadline for both system variants."""
     from repro.runner import Runner, WorldSource
@@ -81,7 +80,7 @@ def run_e7(config: ExperimentConfig | None = None,
         full = config.variant(
             deadline_s=deadline_s, epoch_s=epoch_s, rescue_horizon_s=None)
         for system, variant in (("static", static), ("full", full)):
-            comparison = Runner(variant, parallelism=jobs, backend=backend,
+            comparison = Runner(variant,
                                 world=world).run("headline").comparison
             points.append(DeadlinePoint(
                 deadline_h=d_h,

@@ -51,7 +51,6 @@ class EpochSweep:
 
 def run_e8(config: ExperimentConfig | None = None,
            epochs_h: tuple[float, ...] = DEFAULT_EPOCHS_H, *,
-           jobs: int = 1, backend: str = "event",
            source: "WorldSource | None" = None) -> EpochSweep:
     """Sweep the prefetch epoch length at a fixed deadline."""
     from repro.runner import Runner, WorldSource
@@ -64,8 +63,7 @@ def run_e8(config: ExperimentConfig | None = None,
         deadline_s = max(config.deadline_s, epoch_s)
         variant = config.variant(epoch_s=epoch_s, deadline_s=deadline_s,
                                  rescue_horizon_s=None)
-        comparison = Runner(variant, parallelism=jobs, backend=backend,
-                            world=world).run("headline").comparison
+        comparison = Runner(variant, world=world).run("headline").comparison
         p = comparison.prefetch
         denom = max(p.energy.n_users * p.energy.days, 1.0)
         points.append(EpochPoint(

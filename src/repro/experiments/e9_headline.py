@@ -84,19 +84,17 @@ def _row(system: str, comparison: Comparison) -> HeadlineRow:
 
 def run_e9(config: ExperimentConfig | None = None,
            systems: tuple[str, ...] = SYSTEMS, *,
-           jobs: int = 1, backend: str = "event",
            source: "WorldSource | None" = None) -> HeadlineTable:
     """Run every system preset on the same world."""
     from repro.runner import Runner, WorldSource
 
     config = config or ExperimentConfig()
     world = (source or WorldSource()).world_for(config)
-    realtime = Runner(config, parallelism=jobs, backend=backend,
-                      world=world).run("realtime").realtime
+    realtime = Runner(config, world=world).run("realtime").realtime
     rows = [
         _row(system,
-             Runner(apply_preset(system, config), parallelism=jobs,
-                    backend=backend, world=world).run("headline").comparison)
+             Runner(apply_preset(system, config),
+                    world=world).run("headline").comparison)
         for system in systems
     ]
     return HeadlineTable(

@@ -110,8 +110,7 @@ def world_from_trace(config: ExperimentConfig, trace: Trace,
 
     Radio-profile assignment draws from the seed-derived
     ``radio-assignment`` stream in sorted-user order, so the same trace
-    always yields the same assignment — including when the trace was
-    reloaded from a :class:`repro.runner.WorldCache` disk spill.
+    always yields the same assignment.
     """
     registry = RngRegistry(config.seed)
     base_profile = get_profile(config.radio)

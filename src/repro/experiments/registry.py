@@ -27,57 +27,53 @@ from .x2_fast_dormancy import run_x2
 
 @dataclass(frozen=True, slots=True)
 class Experiment:
-    """One reproducible paper artifact."""
+    """One reproducible paper artifact.
+
+    ``runner`` is called as ``runner(config, source=source)``; it builds
+    every :class:`repro.runner.Runner` it needs from the process-default
+    :class:`repro.runner.ExecOptions`.
+    """
 
     id: str
     paper_artifact: str
     title: str
     runner: Callable[..., object]
-    #: Whether ``runner`` consumes a generated world (and therefore
-    #: accepts a ``source=`` :class:`repro.runner.WorldSource` kwarg).
-    needs_world: bool = True
-    #: Whether ``runner`` accepts ``jobs=`` / ``backend=`` kwargs
-    #: (sharded execution via :class:`repro.runner.Runner`).
-    accepts_jobs: bool = False
 
 
-def _run_e1(_config: ExperimentConfig):
-    return run_e1()
-
-
-def _run_e2(_config: ExperimentConfig):
-    return run_e2()
+def _worldless(run: Callable[[], object]) -> Callable[..., object]:
+    """Adapt a runner that needs neither a config nor a world."""
+    def runner(_config: ExperimentConfig | None, *,
+               source: "WorldSource | None" = None) -> object:
+        return run()
+    return runner
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     "e1": Experiment("e1", "Table 1", "ad energy in top-15 apps",
-                     _run_e1, needs_world=False),
+                     _worldless(run_e1)),
     "e2": Experiment("e2", "Fig (motivation)", "tail-energy amortisation",
-                     _run_e2, needs_world=False),
+                     _worldless(run_e2)),
     "e3": Experiment("e3", "Fig (dataset)", "trace characterization", run_e3),
     "e4": Experiment("e4", "Fig (models)", "prediction accuracy", run_e4),
     "e5": Experiment("e5", "Fig (SLA vs k)", "overbooking: SLA side",
-                     run_e5_e6, accepts_jobs=True),
+                     run_e5_e6),
     "e6": Experiment("e6", "Fig (revenue vs k)", "overbooking: revenue side",
-                     run_e5_e6, accepts_jobs=True),
-    "e7": Experiment("e7", "Fig (deadline)", "deadline sweep", run_e7,
-                     accepts_jobs=True),
-    "e8": Experiment("e8", "Fig (period)", "prefetch-period sweep", run_e8,
-                     accepts_jobs=True),
+                     run_e5_e6),
+    "e7": Experiment("e7", "Fig (deadline)", "deadline sweep", run_e7),
+    "e8": Experiment("e8", "Fig (period)", "prefetch-period sweep", run_e8),
     "e9": Experiment("e9", "Table 2", "headline end-to-end comparison",
-                     run_e9, accepts_jobs=True),
-    "e10": Experiment("e10", "Ablation", "dispatch-policy ablation", run_e10,
-                      accepts_jobs=True),
-    "e11": Experiment("e11", "Ablation", "client-model ablation", run_e11,
-                      accepts_jobs=True),
+                     run_e9),
+    "e10": Experiment("e10", "Ablation", "dispatch-policy ablation",
+                      run_e10),
+    "e11": Experiment("e11", "Ablation", "client-model ablation", run_e11),
     "e12": Experiment("e12", "Fig (radio)", "radio wakeups & residency",
                       run_e12),
     "e13": Experiment("e13", "Extension", "fault injection & resilience",
-                      run_e13, accepts_jobs=True),
+                      run_e13),
     "x1": Experiment("x1", "Extension", "radio-technology sensitivity",
-                     run_x1, accepts_jobs=True),
+                     run_x1),
     "x2": Experiment("x2", "Extension", "prefetching vs fast dormancy",
-                     run_x2, accepts_jobs=True),
+                     run_x2),
 }
 
 
@@ -89,26 +85,29 @@ def experiment_ids() -> list[str]:
 
 def run_experiment(experiment_id: str,
                    config: ExperimentConfig | None = None,
-                   jobs: int = 1, backend: str = "event",
+                   jobs: int | None = None, backend: str | None = None,
                    source: "WorldSource | None" = None):
     """Run one experiment by id; returns its figure/table object.
 
-    ``jobs`` and ``backend`` are forwarded to experiments that support
-    sharded execution (``accepts_jobs``); others run serially on the
-    event engine regardless. ``source`` shares one world provider
-    across experiments that consume a generated world (``needs_world``)
-    — e.g. one ``WorldSource`` for a whole ``adprefetch run all``.
+    ``source`` shares one world provider across experiments — e.g. one
+    ``WorldSource`` for a whole ``adprefetch run all``. Execution knobs
+    come from the process-default :class:`repro.runner.ExecOptions`;
+    ``jobs`` and ``backend``, when given, override its ``parallelism``
+    and ``backend`` for this one call, and the previous default is
+    restored afterwards.
     """
+    from repro.runner import default_exec_options, set_default_exec_options
+
     try:
         experiment = EXPERIMENTS[experiment_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; "
             f"available: {experiment_ids()}") from None
-    kwargs: dict[str, object] = {}
-    if experiment.needs_world:
-        kwargs["source"] = source
-    if experiment.accepts_jobs:
-        kwargs["jobs"] = jobs
-        kwargs["backend"] = backend
-    return experiment.runner(config, **kwargs)
+    previous = default_exec_options()
+    set_default_exec_options(previous.override(parallelism=jobs,
+                                               backend=backend))
+    try:
+        return experiment.runner(config, source=source)
+    finally:
+        set_default_exec_options(previous)

@@ -79,7 +79,6 @@ def _row(label: str, comparison) -> RadioMixRow:
 
 
 def run_x1(config: ExperimentConfig | None = None, *,
-           jobs: int = 1, backend: str = "event",
            source: "WorldSource | None" = None) -> RadioMixStudy:
     """Run both radio-technology studies."""
     from repro.runner import Runner, WorldSource
@@ -88,8 +87,7 @@ def run_x1(config: ExperimentConfig | None = None, *,
     source = source or WorldSource()
 
     def headline(variant):
-        return Runner(variant, parallelism=jobs, backend=backend,
-                      source=source).run("headline").comparison
+        return Runner(variant, source=source).run("headline").comparison
 
     homogeneous = []
     for radio in ("3g", "lte", "wifi"):

@@ -57,7 +57,6 @@ class FastDormancyStudy:
 
 
 def run_x2(config: ExperimentConfig | None = None, *,
-           jobs: int = 1, backend: str = "event",
            source: "WorldSource | None" = None) -> FastDormancyStudy:
     """Fill the 2x2 grid."""
     from repro.runner import Runner, WorldSource
@@ -68,8 +67,7 @@ def run_x2(config: ExperimentConfig | None = None, *,
     baseline = None
     for radio in ("3g", "3g-fd"):
         variant = config.variant(radio=radio)
-        comparison = Runner(variant, parallelism=jobs, backend=backend,
-                            source=source).run("headline").comparison
+        comparison = Runner(variant, source=source).run("headline").comparison
         realtime_j = comparison.realtime.energy.ad_joules_per_user_day()
         prefetch_j = comparison.prefetch.energy.ad_joules_per_user_day()
         if baseline is None:

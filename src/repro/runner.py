@@ -42,14 +42,12 @@ True
 
 from __future__ import annotations
 
-import hashlib
-import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - break the runner <-> dist cycle
     from repro.dist.coordinator import DistStats
@@ -64,7 +62,6 @@ from repro.experiments.harness import (
     build_world,
     execute_shard,
     shard_rng_tag,
-    world_from_trace,
 )
 from repro.metrics.accumulators import (
     EnergyAccumulator,
@@ -166,26 +163,42 @@ def partition_users(user_ids: Sequence[str],
 
 @dataclass(frozen=True, slots=True)
 class ExecOptions:
-    """Execution-plane knobs shared by every Runner in a process.
+    """Execution knobs: their one set of defaults and checks.
 
-    Mirrors the :class:`~repro.obs.runtime.ObsOptions` process-default
-    pattern: the CLI installs one of these from ``--shards`` /
-    ``--max-shards`` / ``--chaos`` and the experiment runners pick it
-    up without threading these arguments through every call site.
-    ``chaos`` is an execution knob — a chaos run merges bit-identically
-    — while ``shards`` and ``max_shards`` are semantic knobs, which is
-    exactly why the silent historical clamp became visible.
+    Every knob reaches a :class:`Runner` through this object. The CLI
+    installs one from ``--jobs`` / ``--backend`` / ``--shards`` /
+    ``--max-shards`` / ``--chaos`` as the process default (mirroring
+    :class:`~repro.obs.runtime.ObsOptions`), and every Runner fills the
+    knobs it was not handed from that default, so the experiment
+    runners never thread them through. ``parallelism``, ``backend`` and
+    ``chaos`` are execution knobs — results are bit-identical at any
+    value — while ``shards`` and ``max_shards`` are semantic knobs,
+    which is why the historical silent clamp became visible. The
+    fields are described on :class:`Runner`.
     """
 
+    parallelism: int = 1
+    backend: str = "event"
     shards: int | None = None
     max_shards: int | None = None
     chaos: CoordinatorChaos | None = None
 
     def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; "
+                             f"expected one of {BACKENDS}")
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.max_shards is not None and self.max_shards < 1:
             raise ValueError("max_shards must be >= 1")
+
+    def override(self, **knobs: Any) -> ExecOptions:
+        """A copy with every knob in ``knobs`` that is not ``None`` set."""
+        return replace(self, **{
+            name: value for name, value in knobs.items()
+            if value is not None})
 
 
 _DEFAULT_EXEC_OPTIONS: ExecOptions | None = None
@@ -209,12 +222,6 @@ def default_exec_options() -> ExecOptions:
 # ----------------------------------------------------------------------
 
 
-def default_spill_dir() -> Path:
-    """Default on-disk trace cache: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
-    return Path(os.environ.get("REPRO_CACHE_DIR",
-                               "~/.cache/repro")).expanduser()
-
-
 class WorldCache:
     """Size-bounded LRU cache of generated :class:`World` objects.
 
@@ -223,86 +230,37 @@ class WorldCache:
     max_worlds:
         In-memory bound; the least-recently-used world is evicted once
         the bound is exceeded.
-    spill_dir:
-        Optional directory for spilling generated **traces** to disk
-        (JSONL via :mod:`repro.traces.io`). A later miss — including in
-        a different process — reloads the trace and recompiles
-        timelines instead of regenerating the population. Note the
-        JSONL format rounds session times to milliseconds, so a
-        spill-reloaded world is statistically, not bit-wise, identical
-        to a freshly generated one.
     """
 
-    def __init__(self, max_worlds: int = 16,
-                 spill_dir: str | Path | None = None) -> None:
+    def __init__(self, max_worlds: int = 16) -> None:
         if max_worlds < 1:
             raise ValueError("max_worlds must be >= 1")
         self.max_worlds = int(max_worlds)
-        self.spill_dir = (Path(spill_dir).expanduser()
-                          if spill_dir is not None else None)
         self._worlds: OrderedDict[tuple[object, ...], World] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.spill_loads = 0
 
     def __len__(self) -> int:
         return len(self._worlds)
 
-    def _key(self, config: ExperimentConfig,
-             apps: Sequence[AppProfile]) -> tuple[object, ...]:
-        return (config.world_key(), tuple(a.app_id for a in apps))
-
-    def spill_path(self, config: ExperimentConfig,
-                   apps: Sequence[AppProfile] = TOP15) -> Path | None:
-        """Where this config's trace spills to (None if spill disabled)."""
-        if self.spill_dir is None:
-            return None
-        digest = hashlib.sha256(
-            repr(self._key(config, apps)).encode()).hexdigest()[:16]
-        return self.spill_dir / f"trace-{digest}.jsonl"
-
     def get(self, config: ExperimentConfig,
             apps: Sequence[AppProfile] = TOP15) -> World:
         """Return the world for ``config``, building it at most once."""
-        key = self._key(config, apps)
+        key = (config.world_key(), tuple(a.app_id for a in apps))
         cached = self._worlds.get(key)
         if cached is not None:
             self.hits += 1
             self._worlds.move_to_end(key)
             return cached
         self.misses += 1
-        world = self._load_spilled(config, apps)
-        if world is None:
-            world = build_world(config, apps)
-            self._write_spill(config, apps, world)
+        world = build_world(config, apps)
         self._worlds[key] = world
         while len(self._worlds) > self.max_worlds:
             self._worlds.popitem(last=False)
         return world
 
-    def _load_spilled(self, config: ExperimentConfig,
-                      apps: Sequence[AppProfile]) -> World | None:
-        path = self.spill_path(config, apps)
-        if path is None or not path.exists():
-            return None
-        from repro.traces.io import read_trace
-        trace = read_trace(path)
-        self.spill_loads += 1
-        return world_from_trace(config, trace, apps)
-
-    def _write_spill(self, config: ExperimentConfig,
-                     apps: Sequence[AppProfile], world: World) -> None:
-        path = self.spill_path(config, apps)
-        if path is None or path.exists():
-            return
-        from repro.traces.io import write_trace
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        write_trace(world.trace, tmp)
-        tmp.replace(path)
-
     def clear(self) -> None:
-        """Drop all in-memory worlds (spilled traces stay on disk)."""
+        """Drop all cached worlds."""
         self._worlds.clear()
 
 
@@ -317,10 +275,7 @@ class WorldSource:
     Parameters
     ----------
     cache:
-        The backing :class:`WorldCache`. ``None`` builds a private
-        cache that spills traces to :func:`default_spill_dir` only when
-        ``REPRO_CACHE_DIR`` is set, so plain test runs never touch the
-        user's home directory.
+        The backing :class:`WorldCache` (``None``: a private one).
     world:
         Pin a pre-built :class:`World`: every lookup returns it,
         bypassing the cache (sweeps sharing one trace across config
@@ -332,11 +287,7 @@ class WorldSource:
     def __init__(self, cache: WorldCache | None = None,
                  world: World | None = None,
                  apps: Sequence[AppProfile] = TOP15) -> None:
-        if cache is None:
-            spill = (default_spill_dir()
-                     if os.environ.get("REPRO_CACHE_DIR") else None)
-            cache = WorldCache(spill_dir=spill)
-        self.cache = cache
+        self.cache = cache if cache is not None else WorldCache()
         self.world = world
         self.apps = tuple(apps)
 
@@ -620,18 +571,11 @@ class Runner:
         knob under the equivalence contract.
     source:
         Explicit :class:`WorldSource` to draw worlds from. ``None``
-        builds one from the ``cache``/``world``/``apps`` convenience
-        parameters below.
-    cache:
-        The :class:`WorldCache` to draw worlds from (ignored when
-        ``source`` is given).
+        builds a private one, pinned to ``world`` if given.
     world:
         Pre-built :class:`World` to reuse, bypassing the cache (sweeps
         sharing one trace across config variants; ignored when
         ``source`` is given).
-    apps:
-        App catalog for world construction (defaults to the paper's
-        top-15 catalog; ignored when ``source`` is given).
     obs:
         Observability options (tracing, artifact directory). ``None``
         falls back to the process default installed by the CLI's
@@ -648,44 +592,36 @@ class Runner:
         worker kills / duplicated / delayed results). A non-empty plan
         always runs through the coordinator, even at
         ``parallelism=1``: a kill needs a separate worker process.
-        Chaos runs must still merge bit-identically. ``None`` falls
-        back to the process default installed by the CLI's ``--chaos``
-        flag (see :func:`set_default_exec_options`).
+        Chaos runs must still merge bit-identically.
+
+    ``parallelism``, ``shards``, ``backend``, ``max_shards`` and
+    ``chaos`` are the :class:`ExecOptions` knobs: each one left
+    ``None`` comes from the process default (see
+    :func:`set_default_exec_options`), which also holds their defaults
+    and validation.
     """
 
     def __init__(self, config: ExperimentConfig, *,
-                 parallelism: int = 1,
+                 parallelism: int | None = None,
                  shards: int | None = None,
-                 backend: str = "event",
+                 backend: str | None = None,
                  source: WorldSource | None = None,
-                 cache: WorldCache | None = None,
                  world: World | None = None,
-                 apps: Sequence[AppProfile] = TOP15,
                  obs: ObsOptions | None = None,
                  max_shards: int | None = None,
                  chaos: CoordinatorChaos | None = None) -> None:
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        exec_defaults = default_exec_options()
-        max_shards = (max_shards if max_shards is not None
-                      else exec_defaults.max_shards)
-        if max_shards is not None and max_shards < 1:
-            raise ValueError("max_shards must be >= 1")
+        options = default_exec_options().override(
+            parallelism=parallelism, shards=shards, backend=backend,
+            max_shards=max_shards, chaos=chaos)
         self.config = config
-        self.parallelism = int(parallelism)
-        self.shards = shards if shards is not None else exec_defaults.shards
-        self.backend = backend
-        self.max_shards = max_shards
-        chaos = chaos if chaos is not None else exec_defaults.chaos
-        self.chaos = chaos if chaos is not None and not chaos.is_empty \
-            else None
+        self.parallelism = options.parallelism
+        self.shards = options.shards
+        self.backend = options.backend
+        self.max_shards = options.max_shards
+        self.chaos = (options.chaos if options.chaos is not None
+                      and not options.chaos.is_empty else None)
         self.source = (source if source is not None
-                       else WorldSource(cache=cache, world=world, apps=apps))
+                       else WorldSource(world=world))
         self.obs = obs
 
     def resolve_shards(self, n_users: int) -> int:
@@ -849,9 +785,7 @@ class Runner:
             return live
         if options is None or options.out_dir is None:
             return live
-        import dataclasses
-
-        return dataclasses.replace(
+        return replace(
             live, postmortem_dir=Path(options.out_dir) / "postmortems")
 
     def _append_ledger(self, ledger_path: Path, result: RunResult,

@@ -749,6 +749,8 @@ class BatchedAdServer(AdServer):
             sale_owners = self._sale_owners
             batch = self.config.rescue_batch
             for row in pickable.tolist():
+                if len(picked) >= batch:
+                    break
                 sale = self._r_sales[row]
                 sid = sale.sale_id
                 owners = sale_owners.setdefault(sid, set())
@@ -763,8 +765,6 @@ class BatchedAdServer(AdServer):
                     fresh[row] = now
                 state.delivered_unshown[sid] = sale.deadline
                 picked.append(sale)
-                if len(picked) >= batch:
-                    break
         self.rescues += len(picked)
         self._rescue_counter.inc(len(picked))
         if picked and self._recorder.enabled:

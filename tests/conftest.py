@@ -19,13 +19,16 @@ _SOURCE = WorldSource()
 
 
 @pytest.fixture(autouse=True)
-def _reset_exec_options():
-    """CLI entry points install process-default ExecOptions (``--shards``
-    / ``--chaos`` / ...); clear them after every test so a CLI test
-    can't silently reshard or chaos-test later Runners."""
+def _reset_process_defaults():
+    """CLI entry points install process-default ExecOptions and
+    ObsOptions (``--jobs`` / ``--chaos`` / ``--metrics-out`` / ...);
+    clear both after every test so a CLI test can't silently reshard,
+    chaos-test or write artifacts from later Runners."""
+    from repro.obs.runtime import set_default_obs_options
     from repro.runner import set_default_exec_options
     yield
     set_default_exec_options(None)
+    set_default_obs_options(None)
 
 
 @pytest.fixture(scope="session")

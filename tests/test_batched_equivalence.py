@@ -11,7 +11,7 @@ at parallelism 1 and 4.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.client.device import Device
@@ -214,14 +214,20 @@ _world_params = st.fixed_dictionaries({
     "epsilon": st.sampled_from([0.02, 0.1, 0.3]),
     "max_replicas": st.sampled_from([1, 2, 4]),
     "wifi_fraction": st.sampled_from([0.0, 0.4]),
+    "rescue_batch": st.sampled_from([0, 1, 4]),
 })
 
 
 @given(params=_world_params, faults=_fault_plans)
+@example(params={"n_users": 8, "seed": 7, "epsilon": 0.1, "max_replicas": 2,
+                 "wifi_fraction": 0.0, "rescue_batch": 0},
+         faults=FaultPlan())
 @settings(max_examples=6, deadline=None)
 def test_backends_agree_on_random_worlds(params, faults):
     """Full headline runs are bit-identical across backends, and the
-    flattened metrics satisfy the published tolerance contract."""
+    flattened metrics satisfy the published tolerance contract. The
+    pinned example turns rescue off (``rescue_batch=0``), where the
+    batched server must rescue nothing, as the event server does."""
     config = ExperimentConfig(n_days=4, train_days=2, faults=faults,
                               **params)
     event = Runner(config, backend="event").run("headline")

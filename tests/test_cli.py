@@ -82,15 +82,9 @@ def test_headline_command_small(capsys):
 
 
 def test_headline_with_trace_writes_artifacts(tmp_path, capsys):
-    from repro.obs.runtime import set_default_obs_options
-
-    try:
-        code = main(["headline", "--users", "12", "--days", "6",
-                     "--train-days", "3", "--seed", "15",
-                     "--trace", "--metrics-out", str(tmp_path)])
-    finally:
-        # The CLI installs a process default; clear it for later tests.
-        set_default_obs_options(None)
+    code = main(["headline", "--users", "12", "--days", "6",
+                 "--train-days", "3", "--seed", "15",
+                 "--trace", "--metrics-out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "run artifacts:" in out
@@ -107,6 +101,25 @@ def test_headline_with_trace_writes_artifacts(tmp_path, capsys):
     for name in ("exchange.auctions.held", "server.plan.assignments",
                  "server.rescues", "client.beacons", "radio.wakeups"):
         assert name in out
+
+
+def test_cli_options_do_not_leak_between_calls(tmp_path, capsys):
+    """Each invocation installs its own process defaults: a plain run
+    after a ``--metrics-out --jobs --backend`` run in the same process
+    writes no artifacts and runs with the default execution knobs."""
+    from repro.runner import ExecOptions, default_exec_options
+
+    args = ["headline", "--users", "12", "--days", "6",
+            "--train-days", "3", "--seed", "15"]
+    assert main(args + ["--metrics-out", str(tmp_path),
+                        "--jobs", "2", "--backend", "batched"]) == 0
+    assert "x 2 worker(s)" in capsys.readouterr().out
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "run artifacts:" not in out
+    assert "x 1 worker(s)" in out
+    assert len(list(tmp_path.iterdir())) == 1
+    assert default_exec_options() == ExecOptions()
 
 
 def _metric_lines(out):
@@ -194,14 +207,9 @@ def test_summarize_invalid_manifest_json_is_one_line_error(tmp_path,
 
 
 def _run_with_ledger(path, seed="15"):
-    from repro.obs.runtime import set_default_obs_options
-
-    try:
-        return main(["headline", "--users", "12", "--days", "6",
-                     "--train-days", "3", "--seed", seed,
-                     "--ledger", str(path)])
-    finally:
-        set_default_obs_options(None)
+    return main(["headline", "--users", "12", "--days", "6",
+                 "--train-days", "3", "--seed", seed,
+                 "--ledger", str(path)])
 
 
 def test_ledger_cli_list_show_regress_round_trip(tmp_path, capsys):
