@@ -70,39 +70,75 @@ class ClientTimeline:
         return float(times[idx[0]])
 
 
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of ``counts[i]`` entries: each entry's run
+    index ``i`` and its offset ``k`` within the run."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, k
+
+
 def compile_timeline(user: UserTrace, apps: Sequence[AppProfile],
                      profile: RadioProfile) -> ClientTimeline:
-    """Compile one user's sessions into a :class:`ClientTimeline`."""
+    """Compile one user's sessions into a :class:`ClientTimeline`.
+
+    Events are laid out in session order — each session's slots, then
+    its app traffic — and stably sorted by time, so equal times keep
+    that order (a stream span sorts after its session's first slot).
+    """
     app_index = {a.app_id: i for i, a in enumerate(apps)}
-    times: list[float] = []
-    kinds: list[int] = []
-    payload: list[float] = []
-    for session in user.sessions:
-        app = apps[app_index[session.app_id]]
-        for i, t in enumerate(session.slot_times(app.ad_refresh_s)):
-            times.append(t)
-            kinds.append(KIND_SLOT_START if i == 0 else KIND_SLOT)
-            payload.append(float(app_index[session.app_id]))
-        if app.app_request_interval_s is None:
-            continue
-        if app.app_request_interval_s < profile.high_tail_time:
-            # Streaming-class app: radio never leaves the active state
-            # between requests — one continuous span, same energy.
-            times.append(session.start)
-            kinds.append(KIND_APP_STREAM)
-            payload.append(session.duration)
-        else:
-            for t in session.app_request_times(app.app_request_interval_s):
-                times.append(t)
-                kinds.append(KIND_APP)
-                payload.append(float(app.app_request_bytes))
-    order = np.argsort(np.asarray(times, dtype=np.float64), kind="stable")
+    sessions = user.sessions
+    n = len(sessions)
+    app = np.fromiter((app_index[s.app_id] for s in sessions),
+                      dtype=np.intp, count=n)
+    start = np.fromiter((s.start for s in sessions), dtype=np.float64, count=n)
+    duration = np.fromiter((s.duration for s in sessions),
+                           dtype=np.float64, count=n)
+    intervals = [a.app_request_interval_s for a in apps]
+    # Streaming-class apps (request gaps shorter than the radio's high
+    # tail) never let the radio leave the active state: one continuous
+    # span per session, same energy. Offline apps make no requests.
+    streams = np.array([i is not None and i < profile.high_tail_time
+                        for i in intervals], dtype=bool)[app]
+    chatty = np.array([i is not None for i in intervals], dtype=bool)[app] & ~streams
+    interval = np.array([1.0 if i is None else i for i in intervals],
+                        dtype=np.float64)[app]
+    refresh = np.array([a.ad_refresh_s for a in apps], dtype=np.float64)[app]
+    request_bytes = np.array([a.app_request_bytes for a in apps],
+                             dtype=np.float64)[app]
+
+    n_slots = 1 + np.floor_divide(duration, refresh).astype(np.intp)
+    n_app = streams.astype(np.intp)
+    n_app[chatty] = 1 + np.floor_divide(duration[chatty],
+                                        interval[chatty]).astype(np.intp)
+    n_events = n_slots + n_app
+    first = np.cumsum(n_events) - n_events
+    times = np.empty(int(n_events.sum()), dtype=np.float64)
+    kinds = np.empty(times.size, dtype=np.int8)
+    payload = np.empty(times.size, dtype=np.float64)
+
+    # Times are start + k * period, the arithmetic of Session.slot_times.
+    owner, k = _runs(n_slots)
+    at = first[owner] + k
+    times[at] = start[owner] + k * refresh[owner]
+    kinds[at] = np.where(k == 0, KIND_SLOT_START, KIND_SLOT)
+    payload[at] = app[owner]
+
+    owner, k = _runs(n_app)
+    at = first[owner] + n_slots[owner] + k
+    span = streams[owner]
+    times[at] = np.where(span, start[owner],
+                         start[owner] + k * interval[owner])
+    kinds[at] = np.where(span, KIND_APP_STREAM, KIND_APP)
+    payload[at] = np.where(span, duration[owner], request_bytes[owner])
+
+    order = np.argsort(times, kind="stable")
     return ClientTimeline(
         user_id=user.user_id,
         platform=user.platform,
-        times=np.asarray(times, dtype=np.float64)[order],
-        kinds=np.asarray(kinds, dtype=np.int8)[order],
-        payload=np.asarray(payload, dtype=np.float64)[order],
+        times=times[order],
+        kinds=kinds[order],
+        payload=payload[order],
     )
 
 

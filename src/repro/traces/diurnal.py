@@ -10,7 +10,7 @@ clock built as a mixture of wrapped Gaussian bumps plus a floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,9 @@ DAYPARTS: tuple[tuple[float, float], ...] = (
 )
 
 HOURS_PER_DAY = 24
+
+#: ``Generator.choice``'s tolerance on a probability vector's sum.
+_PMF_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def _wrapped_gaussian(hour: np.ndarray | float, mu: float, sigma: float) -> np.ndarray | float:
@@ -50,15 +53,29 @@ class DiurnalProfile:
     weights: tuple[float, ...]
     floor: float = 0.05
     phase: float = 0.0
+    #: Cumulative hourly PMF, built once; ``sample_hour`` inverts it.
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(DAYPARTS):
             raise ValueError(
                 f"expected {len(DAYPARTS)} weights, got {len(self.weights)}")
+        if not all(map(math.isfinite, (*self.weights, self.floor, self.phase))):
+            raise ValueError("weights, floor and phase must be finite")
         if any(w < 0 for w in self.weights) or self.floor < 0:
             raise ValueError("weights and floor must be non-negative")
         if sum(self.weights) + self.floor <= 0:
             raise ValueError("profile must have positive total intensity")
+        # The checks and CDF of Generator.choice(24, p=pmf), done once.
+        pmf = self.hourly_pmf()
+        if (not np.isfinite(pmf).all() or (pmf < 0).any()
+                or abs(pmf.sum() - 1.0) > _PMF_ATOL):
+            raise ValueError(
+                "profile intensity does not normalise to a finite hourly PMF")
+        cdf = pmf.cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        object.__setattr__(self, "_cdf", cdf)
 
     def intensity(self, hour: float) -> float:
         """Unnormalised intensity at fractional ``hour`` of day."""
@@ -72,7 +89,7 @@ class DiurnalProfile:
         """Probability of a session starting in each of the 24 hours.
 
         Integrates the intensity at 10-minute resolution within each
-        hour, then normalises.
+        hour, then normalises. Returns a fresh array on every call.
         """
         grid = np.arange(0, HOURS_PER_DAY, 1 / 6) + 1 / 12
         h = (grid - self.phase) % HOURS_PER_DAY
@@ -83,9 +100,12 @@ class DiurnalProfile:
         return hourly / hourly.sum()
 
     def sample_hour(self, rng: np.random.Generator) -> float:
-        """Draw a fractional session-start hour from the profile."""
-        pmf = self.hourly_pmf()
-        hour = int(rng.choice(HOURS_PER_DAY, p=pmf))
+        """Draw a fractional session-start hour from the profile.
+
+        Inverts the cached CDF exactly as ``rng.choice(24, p=pmf)``
+        does, so it consumes and returns the same draws.
+        """
+        hour = int(self._cdf.searchsorted(rng.random(), side="right"))
         return hour + float(rng.uniform(0.0, 1.0))
 
 

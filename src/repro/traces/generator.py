@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.obs import log
 
-from .schema import SECONDS_PER_DAY, SECONDS_PER_HOUR, Session, Trace
+from .schema import SECONDS_PER_DAY, SECONDS_PER_HOUR, Session, Trace, UserTrace
 
 # Diagnostics go through the shared repro.obs.log helper (silent unless
 # enabled); ad-hoc print()/logging setups are deprecated repo-wide.
@@ -68,6 +68,8 @@ class TraceGenerator:
         self.apps = list(apps)
         self.config = config
         self.rng = rng
+        self._app_ids = [a.app_id for a in self.apps]
+        self._app_by_id = {a.app_id: a for a in self.apps}
 
     def generate(self, population: Sequence["UserProfile"]) -> Trace:
         """Generate the full trace for ``population``."""
@@ -82,7 +84,6 @@ class TraceGenerator:
             if user.user_id not in trace.users:
                 # Keep silent users in the population: they still run the
                 # client SDK and must be predicted (as ~zero slots).
-                from .schema import UserTrace
                 trace.users[user.user_id] = UserTrace(user.user_id, user.platform)
                 n_silent += 1
         for user_trace in trace.users.values():
@@ -93,17 +94,26 @@ class TraceGenerator:
         return trace
 
     def _user_sessions(self, user: "UserProfile") -> list[Session]:
+        # Draws stay scalar and in this order (day rate, count, apps, then
+        # each session's hour and duration): drawing across sessions at
+        # once would reorder the stream and change every trace.
         cfg = self.config
         rng = self.rng
         sessions: list[Session] = []
-        app_ids = [a.app_id for a in self.apps]
-        app_by_id = {a.app_id: a for a in self.apps}
+        app_ids = self._app_ids
+        app_by_id = self._app_by_id
         weights = np.asarray(user.app_weights, dtype=float)
         if len(weights) != len(self.apps):
             raise ValueError(
                 f"user {user.user_id} has {len(weights)} app weights for "
                 f"{len(self.apps)} apps")
         weights = weights / weights.sum()
+        # Clamp sessions to the trace horizon so downstream hour indexing
+        # stays in range. Sessions starting too close to the horizon to
+        # fit the minimum duration are dropped — clamping them would
+        # violate the min_session_s invariant.
+        end_cap = cfg.n_days * SECONDS_PER_DAY
+        last_start = end_cap - cfg.min_session_s - 1e-6
         for day in range(cfg.n_days):
             rate = user.daily_rate(day, rng)
             count = int(rng.poisson(rate))
@@ -118,14 +128,9 @@ class TraceGenerator:
                 duration = float(rng.lognormal(
                     mean=np.log(app.session_median_s),
                     sigma=app.session_sigma))
-                duration = float(np.clip(duration, cfg.min_session_s,
-                                         cfg.max_session_s))
-                # Clamp sessions to the trace horizon so downstream hour
-                # indexing stays in range. Sessions starting too close to
-                # the horizon to fit the minimum duration are dropped —
-                # clamping them would violate the min_session_s invariant.
-                end_cap = cfg.n_days * SECONDS_PER_DAY
-                if start > end_cap - cfg.min_session_s - 1e-6:
+                duration = float(min(max(duration, cfg.min_session_s),
+                                     cfg.max_session_s))
+                if start > last_start:
                     continue
                 duration = min(duration, end_cap - start - 1e-6)
                 sessions.append(Session(user.user_id, app.app_id, start, duration))

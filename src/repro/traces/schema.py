@@ -50,15 +50,6 @@ class Session:
         n = 1 + int(self.duration // refresh_s)
         return [self.start + k * refresh_s for k in range(n)]
 
-    def app_request_times(self, interval_s: float | None) -> list[float]:
-        """Timestamps of the app's own requests (empty if offline)."""
-        if interval_s is None:
-            return []
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        n = 1 + int(self.duration // interval_s)
-        return [self.start + k * interval_s for k in range(n)]
-
 
 @dataclass(frozen=True, slots=True)
 class AdSlot:

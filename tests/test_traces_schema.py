@@ -34,14 +34,6 @@ def test_slot_times():
         s.slot_times(0.0)
 
 
-def test_app_request_times():
-    s = Session("u", "a", start=0.0, duration=100.0)
-    assert s.app_request_times(None) == []
-    assert s.app_request_times(40.0) == [0.0, 40.0, 80.0]
-    with pytest.raises(ValueError):
-        s.app_request_times(-5.0)
-
-
 def test_adslot_indices():
     slot = AdSlot("u", "a", time=25 * SECONDS_PER_HOUR)
     assert slot.day == 1
