@@ -4,11 +4,11 @@ Times the headline comparison at the scaling shape on the runner's two
 execution paths, sharing one prebuilt world: the in-process loop
 (``--jobs 1``, the bit-identity reference) and the ``repro.dist``
 coordinator at ``WORKERS`` worker processes (``--jobs WORKERS``, the
-only parallel executor). The coordinator pays for a Manager process,
-per-message queue hops, lease bookkeeping, and worker heartbeats on
-top of the parallel speedup — this benchmark records the net
-(min of ``REPEATS`` runs; small containers jitter and the minimum is
-the stable estimator).
+only parallel executor). The coordinator pays for spawning its worker
+processes, a pipe hop per message, lease bookkeeping, and worker
+heartbeats on top of the parallel speedup — this benchmark records
+the net (min of ``REPEATS`` runs; small containers jitter and the
+minimum is the stable estimator).
 
 Asserted (the CI gate): both merged results are bit-for-bit identical
 (the repro.dist contract, DESIGN.md §13), and the quiet coordinator

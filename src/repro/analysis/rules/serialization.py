@@ -39,14 +39,12 @@ SERIALIZATION_ROOTS: dict[str, dict[str, bool]] = {
     "repro.faults.plan.FaultPlan": {"frozen": True, "kw_only": True},
     "repro.obs.metrics.MetricsSnapshot": {},
     # The repro.dist wire contract: every control message that crosses
-    # the coordinator/worker transport, plus the chaos plan shipped
-    # beside claimed jobs. All must stay flat scalar dataclasses so
-    # they both pickle across Manager queues and JSON-round-trip for
-    # the planned socket/multi-host backend.
-    "repro.dist.protocol.WorkerHello": {"frozen": True, "kw_only": True},
-    "repro.dist.protocol.WorkerBeat": {"frozen": True, "kw_only": True},
+    # a coordinator/worker pipe, plus the chaos plan shipped beside
+    # each job. All must stay flat scalar dataclasses so they both
+    # pickle across the pipe and JSON-round-trip for a socket/
+    # multi-host link.
+    "repro.dist.protocol.WorkerReady": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.JobEnvelope": {"frozen": True, "kw_only": True},
-    "repro.dist.protocol.JobAck": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.JobNack": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.ResultEnvelope": {"frozen": True, "kw_only": True},
     "repro.obs.live.ShardBeat": {"frozen": True},

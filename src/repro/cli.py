@@ -17,7 +17,7 @@
 
 ``run``, ``headline``, and ``report`` accept ``--jobs N`` to execute
 user shards across N worker processes through the :mod:`repro.dist`
-coordinator (lease-based work-stealing, heartbeat-driven retry;
+coordinator (one pipe per worker, heartbeat-renewed leases, retry;
 DESIGN.md §13; see :class:`repro.runner.Runner` — results are
 bit-for-bit identical at any ``--jobs``) and
 ``--backend event|batched`` to pick the shard execution engine
@@ -46,8 +46,9 @@ coordinator, even at ``--jobs 1``. ``--shards``/``--max-shards``
 control the shard layout (semantic knobs; the historical silent clamp
 at 16 auto shards is now visible as a ``runner.auto_shards_clamped``
 counter).
-The count flags and ``--beat-interval`` must be positive; anything else
-is a one-line usage error (exit 2).
+The count flags and ``--beat-interval`` must be positive, and
+``--beat-interval`` must stay below the 30 s stall window; anything
+else is a one-line usage error (exit 2).
 
 Each ``run``/``headline``/``report`` invocation installs its execution
 flags as one process-default :class:`repro.runner.ExecOptions` (which
@@ -101,6 +102,18 @@ def _positive(cast: Callable[[str], _N]) -> Callable[[str], _N]:
                 f"must be positive, got {text!r}")
         return value
     return parse
+
+
+def _beat_interval(text: str) -> float:
+    """``--beat-interval``: positive and below the stall window."""
+    from repro.obs.live import LiveOptions
+
+    value = _positive(float)(text)
+    try:
+        LiveOptions(beat_interval_s=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -166,12 +179,13 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "refresh on a TTY, plain lines when piped) "
                              "via the repro.obs.live telemetry plane; "
                              "results stay bit-identical")
-    parser.add_argument("--beat-interval", type=_positive(float),
+    parser.add_argument("--beat-interval", type=_beat_interval,
                         metavar="SECONDS",
                         default=1.0,
                         help="min wall-clock seconds between shard "
                              "heartbeats when the live plane is on "
-                             "(default: 1.0)")
+                             "(default: 1.0; must stay below the 30 s "
+                             "stall window)")
 
 
 def _install_options(args: argparse.Namespace) -> None:

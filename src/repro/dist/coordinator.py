@@ -1,32 +1,27 @@
-"""The coordinator: lease-based dispatch with stealing and retries.
+"""The coordinator: one pipe per worker, one lease per held shard.
 
 One :class:`Coordinator` drives one run's shard set to completion over
 an unreliable worker fleet, without ever touching a simulation object:
 
-* **Dispatch** — every shard is offered on the transport as a
-  :class:`~repro.dist.protocol.JobEnvelope` with a lease window; the
-  shared jobs queue makes claiming self-balancing.
-* **Work-stealing** — a claimed job whose lease expires (no result, no
-  heartbeat) is re-offered with ``attempt + 1``; whichever idle worker
-  claims it steals the work. The original execution, if it ever
-  delivers, is discarded as a duplicate by shard index.
-* **Leases start at the claim** — a shard waiting in the jobs queue
-  behind busy workers has no lease clock, however long it waits. Only
-  once a worker reports idle (its claim found the queue empty) does a
-  still-unclaimed shard get a lease window, and only while some worker
-  stays idle: a shard nobody acks by then was lost between a worker's
-  claim and its ack.
-* **Heartbeat-driven leases** — workers publish each shard's
-  :class:`~repro.obs.live.ShardBeat` records on the control channel
-  beside acks and results. Every beat of a claimed shard renews its
-  lease, so a healthy shard may run past ``lease_s``; the beats also
-  feed the :class:`~repro.obs.live.LivePlane` aggregator, whose
-  watchdog's stall events (wall-clock beat silence) expire a claimed
-  lease *early*, so a hung worker is stolen from long before the full
-  lease elapses.
-* **Worker loss** — a dead worker process (chaos kill, OOM, SIGKILL)
-  has its leased shards requeued immediately, a ``lost`` postmortem
-  written per shard, and a replacement spawned while work remains.
+* **Dispatch** — each worker owns one duplex ``multiprocessing.Pipe``.
+  A shard's :class:`~repro.dist.protocol.JobEnvelope` and payload go
+  only to a worker whose latest message was
+  :class:`~repro.dist.protocol.WorkerReady`, so every sent job is
+  already claimed and a shard queued behind busy workers is never on
+  the wire.
+* **Leases** — a sent shard's lease starts at the send and runs for
+  ``LiveOptions.stall_after_s``; every
+  :class:`~repro.obs.live.ShardBeat` the holder sends for it renews
+  the lease, so a healthy shard may run arbitrarily long. A lease that
+  runs out is the one stall mechanism: the coordinator terminates the
+  holder and handles it as a lost worker. The beats also feed the
+  :class:`~repro.obs.live.LivePlane`, whose watchdog renders progress
+  and writes stall postmortems but never steals.
+* **Worker loss** — the main loop blocks in
+  ``multiprocessing.connection.wait`` over every pipe and process
+  sentinel until the nearest lease deadline. A sentinel or pipe EOF
+  means the worker is gone: its held shard is requeued, a ``lost``
+  postmortem written, and a replacement spawned while work remains.
 * **Bounded retry** — each shard is dispatched at most
   ``max_attempts`` times; exhaustion raises :class:`DistError` rather
   than silently dropping a shard from the merge.
@@ -37,39 +32,31 @@ an unreliable worker fleet, without ever touching a simulation object:
   yields the same bits and the merged run equals the in-process run.
 
 The coordinator is an execution-plane component: wall clocks are fair
-game here (leases, joins, polls) because nothing in this module feeds
-into simulation results.
+game here (leases, joins) because nothing in this module feeds into
+simulation results.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.faults.chaos import CoordinatorChaos
 from repro.obs import log as obs_log
 from repro.obs.flightrec import Postmortem
-from repro.obs.live import (
-    CallbackTransport,
-    LiveOptions,
-    LivePlane,
-    ShardBeat,
-    StragglerEvent,
-)
+from repro.obs.live import BeatTransport, LiveOptions, LivePlane, ShardBeat
 
 from .protocol import (
     PROTOCOL_VERSION,
-    JobAck,
     JobEnvelope,
     JobNack,
     ResultEnvelope,
-    WorkerBeat,
-    WorkerHello,
+    WorkerReady,
 )
-from .transport import ManagerTransport, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     import multiprocessing.process
@@ -78,6 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.runner import ShardResult
 
 _log = obs_log.get_logger("dist.coordinator")
+
+#: Teardown budget for reading farewell traffic and joining workers.
+_JOIN_TIMEOUT_S = 2.0
 
 
 class DistError(RuntimeError):
@@ -92,7 +82,8 @@ class DistStats:
     :class:`~repro.obs.metrics.MetricsSnapshot`: retries and duplicate
     discards are properties of the unreliable substrate, not of the
     simulation, and folding them in would break the bit-identity
-    contract with the in-process run.
+    contract with the in-process run. ``stall_steals`` counts expired
+    leases.
     """
 
     workers: int
@@ -112,48 +103,32 @@ class _ShardState:
     job: "ShardJob"
     job_id: str
     attempt: int = 0
-    #: The worker that acked the current attempt ("" while unclaimed).
+    #: The worker holding the current attempt ("" while queued).
     worker_id: str = ""
-    #: Monotonic lease expiry; ``inf`` while no lease clock runs.
+    #: Monotonic lease expiry; ``inf`` while nobody holds the shard.
     deadline: float = float("inf")
     done: bool = False
-    last_reason: str = ""
 
 
 @dataclass(slots=True)
 class _WorkerHandle:
-    """One spawned worker process and what it currently holds."""
+    """One spawned worker process, its pipe, and where it stands."""
 
     worker_id: str
     process: "multiprocessing.process.BaseProcess"
-    lost_handled: bool = False
-    jobs_done: int = 0
-    #: Last heard idle (a WorkerBeat) and not acked a job since.
-    idle: bool = False
+    conn: Connection
+    #: Latest message was WorkerReady: the worker will read a job.
+    ready: bool = False
+    #: Has reported ready at least once (it started cleanly).
+    greeted: bool = False
+    #: Why the coordinator is terminating it ("" while in good standing).
+    expired: str = ""
+    lost: bool = False
 
 
 def _job_id(shard_index: int) -> str:
     """Stable job id for a shard (attempts ride the envelope)."""
     return f"shard-{shard_index:03d}"
-
-
-@dataclass(slots=True)
-class _Hooks:
-    """Thread-safe mailbox for watchdog events (plane thread → loop)."""
-
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    stalled: list[int] = field(default_factory=list)
-
-    def on_straggler(self, event: StragglerEvent) -> None:
-        if event.kind != "stall":
-            return
-        with self.lock:
-            self.stalled.append(event.shard_index)
-
-    def drain(self) -> list[int]:
-        with self.lock:
-            out, self.stalled = self.stalled, []
-        return out
 
 
 class Coordinator:
@@ -173,20 +148,13 @@ class Coordinator:
         ``--trace`` flag, shipped to workers beside ``live``/``chaos``).
     live:
         :class:`~repro.obs.live.LiveOptions` for the telemetry plane
-        the coordinator always runs — heartbeats are its failure
-        detector, not an optional nicety. ``None`` uses quiet
+        the coordinator always runs — heartbeats renew leases, so they
+        are its failure detector, not an optional nicety. Its
+        ``stall_after_s`` is the lease window. ``None`` uses quiet
         defaults.
     chaos:
         Optional :class:`~repro.faults.CoordinatorChaos` plan shipped
         to workers (seeded kills / duplicates / delays).
-    transport:
-        Transport backend; ``None`` builds a
-        :class:`~repro.dist.transport.ManagerTransport`. An injected
-        transport is not closed by the coordinator.
-    lease_s:
-        Lease window per claim, renewed by every beat of the shard;
-        an expired lease is requeued. Unclaimed shards get the same
-        window only while a worker is idle.
     max_attempts:
         Dispatch budget per shard; exhaustion raises
         :class:`DistError`.
@@ -196,10 +164,8 @@ class Coordinator:
                  trace: bool = False,
                  live: LiveOptions | None = None,
                  chaos: CoordinatorChaos | None = None,
-                 transport: Transport | None = None,
                  system: str = "", backend: str = "",
-                 lease_s: float = 120.0, max_attempts: int = 3,
-                 poll_s: float = 0.05) -> None:
+                 max_attempts: int = 3) -> None:
         if not jobs:
             raise ValueError("jobs must be non-empty")
         if workers < 1:
@@ -211,15 +177,13 @@ class Coordinator:
         self.trace = bool(trace)
         self.live = live if live is not None else LiveOptions()
         self.chaos = chaos
-        self._transport = transport
-        self._owns_transport = transport is None
         self.system = system
         self.backend = backend
-        self.lease_s = float(lease_s)
         self.max_attempts = int(max_attempts)
-        self.poll_s = float(poll_s)
-        self._hooks = _Hooks()
-        self._shards: dict[int, _ShardState] = {}
+        self._shards = {job.shard_index: _ShardState(
+            job=job, job_id=_job_id(job.shard_index)) for job in self.jobs}
+        #: Shard indexes waiting for a ready worker, in dispatch order.
+        self._queue: deque[int] = deque(self._shards)
         self._handles: dict[str, _WorkerHandle] = {}
         self._results: dict[int, "ShardResult"] = {}
         self._worker_seq = 0
@@ -239,38 +203,26 @@ class Coordinator:
         """Execute every shard; results in shard-index order.
 
         Raises :class:`DistError` when any shard exhausts its retry
-        budget or the worker fleet cannot make progress. Always tears
-        down workers, the live plane, and an owned transport.
+        budget or a worker dies before reporting ready. Always tears
+        down the workers and the live plane.
         """
-        transport = self._transport
-        if transport is None:
-            transport = self._transport = ManagerTransport()
         plane = LivePlane(self.live, n_shards=len(self.jobs),
-                          system=self.system, backend=self.backend,
-                          on_straggler=self._hooks.on_straggler)
+                          system=self.system, backend=self.backend)
         self.plane = plane
         plane.start()
         failed = False
         try:
-            for job in self.jobs:
-                index = job.shard_index
-                self._shards[index] = _ShardState(
-                    job=job, job_id=_job_id(index))
-                self._offer(self._shards[index])
             for _ in range(self.workers):
-                self._spawn_worker(transport, plane)
+                self._spawn_worker()
             while len(self._results) < len(self._shards):
-                item = transport.collect(self.poll_s)
-                if item is not None:
-                    self._handle(item)
-                self._steal_stalled()
+                self._dispatch()
+                self._wait_once()
                 self._check_leases()
-                self._check_workers(transport, plane)
         except BaseException:
             failed = True
             raise
         finally:
-            self._shutdown(transport, plane, failed=failed)
+            self._shutdown(plane, failed=failed)
         return [self._results[i] for i in sorted(self._results)]
 
     @property
@@ -289,23 +241,32 @@ class Coordinator:
 
     # -- dispatch -----------------------------------------------------
 
-    def _offer(self, state: _ShardState) -> None:
-        assert self._transport is not None
+    def _dispatch(self) -> None:
+        """Send queued shards to ready workers, one job per worker."""
+        for handle in list(self._handles.values()):
+            if not self._queue:
+                return
+            if handle.ready and not handle.lost and not handle.expired:
+                self._send(handle, self._shards[self._queue.popleft()])
+
+    def _send(self, handle: _WorkerHandle, state: _ShardState) -> None:
         envelope = JobEnvelope(
             job_id=state.job_id,
             shard_index=state.job.shard_index,
             n_shards=state.job.n_shards,
             attempt=state.attempt,
-            lease_s=self.lease_s,
         )
-        state.worker_id = ""
-        state.deadline = float("inf")       # no clock until claimed
+        handle.ready = False
+        state.worker_id = handle.worker_id
+        state.deadline = time.monotonic() + self.live.stall_after_s
         self._attempts += 1
-        self._transport.offer(envelope, state.job)
+        try:
+            handle.conn.send((envelope, state.job))
+        except OSError:
+            self._lose(handle)
 
-    def _requeue(self, state: _ShardState, reason: str, *,
-                 stolen: bool = False) -> None:
-        """Re-dispatch one undone shard with the next attempt number."""
+    def _requeue(self, state: _ShardState, reason: str) -> None:
+        """Queue one undone shard again with the next attempt number."""
         if state.done:
             return
         if state.attempt + 1 >= self.max_attempts:
@@ -313,112 +274,116 @@ class Coordinator:
                 f"shard {state.job.shard_index} failed after "
                 f"{state.attempt + 1} attempt(s): {reason}")
         state.attempt += 1
-        state.last_reason = reason
+        state.worker_id = ""
+        state.deadline = float("inf")
         self._requeues += 1
-        if stolen:
-            self._stall_steals += 1
         if self.plane is not None:
             self.plane.aggregator.reset_shard(state.job.shard_index)
         _log.warning("re-dispatching shard %d (attempt %d): %s",
                      state.job.shard_index, state.attempt, reason)
-        self._offer(state)
+        self._queue.append(state.job.shard_index)
 
-    def _spawn_worker(self, transport: Transport, plane: LivePlane) -> None:
+    def _spawn_worker(self) -> None:
         import multiprocessing
 
-        worker_id = f"w{self._worker_seq}"
-        self._worker_seq += 1
         from .worker import worker_main
 
-        endpoint = transport.worker_endpoint()
-        # The worker's beats ride its control channel back to _handle.
-        live = plane.worker_setup(CallbackTransport(endpoint.send))
+        assert self.plane is not None
+        worker_id = f"w{self._worker_seq}"
+        self._worker_seq += 1
+        conn, child = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=worker_main,
-            args=(endpoint, worker_id),
-            kwargs={"trace": self.trace, "live": live, "chaos": self.chaos},
+            args=(child, worker_id),
+            kwargs={"peer": conn, "trace": self.trace,
+                    # The worker rewires beats onto its own pipe.
+                    "live": self.plane.worker_setup(BeatTransport()),
+                    "chaos": self.chaos},
             name=f"repro-dist-{worker_id}",
             daemon=True,
         )
         process.start()
-        self._handles[worker_id] = _WorkerHandle(worker_id=worker_id,
-                                                 process=process)
+        child.close()
+        self._handles[worker_id] = _WorkerHandle(
+            worker_id=worker_id, process=process, conn=conn)
         self._spawned += 1
 
-    # -- control-plane handling ---------------------------------------
+    # -- waiting ------------------------------------------------------
 
-    def _handle(self, item: tuple[object, object]) -> None:
-        message, payload = item
+    def _wait_once(self) -> None:
+        """Block until a worker speaks or dies, or the next lease ends."""
+        deadline = min((s.deadline for s in self._shards.values()
+                        if not s.done), default=float("inf"))
+        timeout = (None if deadline == float("inf")
+                   else max(0.0, deadline - time.monotonic()))
+        watched: list[Connection | int] = []
+        owner: dict[object, _WorkerHandle] = {}
+        for handle in self._handles.values():
+            if not handle.lost:
+                watched += [handle.conn, handle.process.sentinel]
+                owner[handle.conn] = owner[handle.process.sentinel] = handle
+        for ready in wait(watched, timeout):
+            handle = owner[ready]
+            if handle.lost:
+                continue  # lost earlier in this batch
+            if ready is not handle.conn:
+                self._lose(handle)          # the process sentinel fired
+                continue
+            try:
+                message, payload = handle.conn.recv()
+            except (EOFError, OSError):
+                self._lose(handle)
+            else:
+                self._handle(handle, message, payload)
+
+    def _check_leases(self) -> None:
+        """Terminate the holder of every shard whose lease ran out."""
+        now = time.monotonic()
+        for state in self._shards.values():
+            if state.done or now < state.deadline:
+                continue
+            handle = self._handles[state.worker_id]
+            state.deadline = float("inf")
+            self._stall_steals += 1
+            handle.expired = (f"lease expired: no message for shard "
+                              f"{state.job.shard_index} within "
+                              f"{self.live.stall_after_s:.1f}s")
+            _log.warning("terminating worker %s: %s", handle.worker_id,
+                         handle.expired)
+            handle.process.terminate()
+
+    # -- messages -----------------------------------------------------
+
+    def _handle(self, handle: _WorkerHandle, message: object,
+                payload: object) -> None:
         if isinstance(message, ShardBeat):
-            self._on_beat(message)
-            return
-        if isinstance(message, WorkerHello):
+            self._on_beat(handle, message)
+        elif isinstance(message, WorkerReady):
             if message.protocol != PROTOCOL_VERSION:
                 raise DistError(
                     f"worker {message.worker_id} speaks protocol "
                     f"{message.protocol}, coordinator speaks "
                     f"{PROTOCOL_VERSION}")
-            return
-        if isinstance(message, WorkerBeat):
-            handle = self._handles.get(message.worker_id)
-            if handle is not None:
-                handle.jobs_done = message.jobs_done
-                handle.idle = not message.busy
-            if not message.busy:
-                self._arm_unclaimed()
-            return
-        if isinstance(message, JobAck):
-            handle = self._handles.get(message.worker_id)
-            if handle is not None:
-                handle.idle = False
-            if not self._any_idle():
-                self._disarm_unclaimed()
-            state = self._shards.get(message.shard_index)
-            if state is None or state.done or \
-                    message.attempt != state.attempt:
-                return  # stale claim of a finished or superseded attempt
-            state.worker_id = message.worker_id
-            state.deadline = time.monotonic() + self.lease_s
-            return
-        if isinstance(message, JobNack):
+            handle.ready = handle.greeted = True
+        elif isinstance(message, JobNack):
             self._nacks += 1
             state = self._shards.get(message.shard_index)
             if state is None or state.done or \
                     message.attempt != state.attempt:
-                return
+                return  # a superseded attempt's nack
             self._requeue(state, f"worker {message.worker_id} nacked: "
                                  f"{message.reason}")
-            return
-        if isinstance(message, ResultEnvelope):
+        elif isinstance(message, ResultEnvelope):
             self._handle_result(message, payload)
 
-    def _on_beat(self, beat: ShardBeat) -> None:
-        """Feed the watchdog and renew the lease of a claimed shard."""
+    def _on_beat(self, handle: _WorkerHandle, beat: ShardBeat) -> None:
+        """Feed the watchdog and renew the holder's lease."""
         if self.plane is not None:
             self.plane.aggregator.ingest(beat)
         state = self._shards.get(beat.shard_index)
-        if state is not None and not state.done and state.worker_id:
-            state.deadline = time.monotonic() + self.lease_s
-
-    def _any_idle(self) -> bool:
-        return any(h.idle and not h.lost_handled
-                   for h in self._handles.values())
-
-    def _arm_unclaimed(self) -> None:
-        """Start the lease clock of shards still unclaimed while a worker
-        idles: the queue was empty, so nobody acking within a lease
-        means the claim was lost in transit."""
-        deadline = time.monotonic() + self.lease_s
-        for state in self._shards.values():
-            if not state.done and not state.worker_id and \
-                    state.deadline == float("inf"):
-                state.deadline = deadline
-
-    def _disarm_unclaimed(self) -> None:
-        """Every worker is busy: unclaimed shards are queued, not lost."""
-        for state in self._shards.values():
-            if not state.done and not state.worker_id:
-                state.deadline = float("inf")
+        if state is not None and not state.done and \
+                state.worker_id == handle.worker_id and not handle.expired:
+            state.deadline = time.monotonic() + self.live.stall_after_s
 
     def _handle_result(self, message: ResultEnvelope,
                        payload: object) -> None:
@@ -428,77 +393,63 @@ class Coordinator:
         if state is None:
             return
         if state.done:
-            # A stolen lease's original execution (or a chaos
-            # duplicate) delivered late: pure-function shards make the
-            # copy bit-identical, so dropping it is free.
+            # A chaos duplicate, or a superseded attempt that delivered
+            # late: pure-function shards make the copy bit-identical,
+            # so dropping it is free.
             self._duplicates += 1
             _log.info("discarding duplicate result for shard %d "
                       "(attempt %d from %s)", message.shard_index,
                       message.attempt, message.worker_id)
             return
         if not isinstance(payload, ShardResult):
-            self._requeue(state, f"worker {message.worker_id} delivered a "
-                                 f"malformed result payload "
-                                 f"({type(payload).__name__})")
+            if message.attempt == state.attempt:
+                self._requeue(state, f"worker {message.worker_id} "
+                                     f"delivered a malformed result "
+                                     f"payload ({type(payload).__name__})")
             return
         state.done = True
         state.worker_id = ""
+        state.deadline = float("inf")
         self._results[message.shard_index] = payload
 
-    # -- failure detection --------------------------------------------
+    # -- worker loss --------------------------------------------------
 
-    def _steal_stalled(self) -> None:
-        """Expire leases of shards the heartbeat watchdog flagged."""
-        for shard_index in self._hooks.drain():
-            state = self._shards.get(shard_index)
-            if state is None or state.done or not state.worker_id:
-                continue  # a queued shard is waiting, not stalled
-            self._requeue(state,
-                          f"heartbeat silence > "
-                          f"{self.live.stall_after_s:.1f}s; stealing lease "
-                          f"from {state.worker_id}",
-                          stolen=True)
-
-    def _check_leases(self) -> None:
-        now = time.monotonic()
+    def _lose(self, handle: _WorkerHandle) -> None:
+        """Requeue what a dead worker held and spawn its replacement."""
+        if handle.lost:
+            return
+        handle.lost = True
+        # What it sent before dying still counts (a result, a nack).
+        while True:
+            try:
+                if not handle.conn.poll():
+                    break
+                message, payload = handle.conn.recv()
+            except (EOFError, OSError):
+                break
+            self._handle(handle, message, payload)
+        handle.conn.close()
+        handle.process.join(timeout=_JOIN_TIMEOUT_S)
+        self._lost += 1
+        code = handle.process.exitcode
+        _log.warning("worker %s exited (code %s)", handle.worker_id, code)
+        if not handle.greeted:
+            raise DistError(f"worker {handle.worker_id} exited (code "
+                            f"{code}) before reporting ready")
         for state in self._shards.values():
-            if state.done or now < state.deadline:
+            if state.done or state.worker_id != handle.worker_id:
                 continue
-            self._requeue(state,
-                          f"lease expired after {self.lease_s:.1f}s "
-                          f"(held by {state.worker_id or 'nobody'})",
-                          stolen=bool(state.worker_id))
-
-    def _check_workers(self, transport: Transport,
-                       plane: LivePlane) -> None:
-        undone = any(not s.done for s in self._shards.values())
-        for handle in list(self._handles.values()):
-            if handle.lost_handled or handle.process.is_alive():
-                continue
-            handle.lost_handled = True
-            self._lost += 1
-            code = handle.process.exitcode
-            _log.warning("worker %s exited (code %s)", handle.worker_id,
-                         code)
-            for state in self._shards.values():
-                if state.done or state.worker_id != handle.worker_id:
-                    continue
-                self._write_lost_postmortem(state, handle, plane)
-                self._requeue(state,
-                              f"worker {handle.worker_id} lost "
-                              f"(exit code {code}) holding attempt "
-                              f"{state.attempt}")
-            if undone:
-                self._spawn_worker(transport, plane)
-        if undone and not any(h.process.is_alive()
-                              for h in self._handles.values()):
-            raise DistError("no live workers remain and shards are "
-                            "still undone")
+            self._write_lost_postmortem(state, handle)
+            self._requeue(state, handle.expired or
+                          f"worker {handle.worker_id} lost (exit code "
+                          f"{code}) holding attempt {state.attempt}")
+        if len(self._results) < len(self._shards):
+            self._spawn_worker()
 
     def _write_lost_postmortem(self, state: _ShardState,
-                               handle: _WorkerHandle,
-                               plane: LivePlane) -> None:
-        view = plane.aggregator.view(state.job.shard_index)
+                               handle: _WorkerHandle) -> None:
+        assert self.plane is not None
+        view = self.plane.aggregator.view(state.job.shard_index)
         postmortem = Postmortem(
             kind="lost",
             shard_index=state.job.shard_index,
@@ -507,45 +458,48 @@ class Coordinator:
             backend=self.backend,
             reason=(f"worker {handle.worker_id} exited (code "
                     f"{handle.process.exitcode}) holding shard "
-                    f"{state.job.shard_index} attempt {state.attempt}; "
+                    f"{state.job.shard_index} attempt {state.attempt}"
+                    f"{'; ' + handle.expired if handle.expired else ''}; "
                     "re-dispatching"),
             last_beat=(view.last_beat.to_jsonable()
                        if view.last_beat is not None else None),
         )
-        path = postmortem.write_to(plane.postmortem_dir)
-        plane.note_postmortem(path)
+        path = postmortem.write_to(self.plane.postmortem_dir)
+        self.plane.note_postmortem(path)
         if path not in self.postmortems:
             self.postmortems.append(path)
 
     # -- teardown -----------------------------------------------------
 
-    def _shutdown(self, transport: Transport, plane: LivePlane,
-                  failed: bool) -> None:
-        for _ in self._handles:
-            try:
-                transport.offer_stop()
-            except (OSError, EOFError, BrokenPipeError):
-                break
+    def _shutdown(self, plane: LivePlane, failed: bool) -> None:
+        # Read each busy worker's farewell traffic up to its
+        # WorkerReady, so duplicate accounting is complete. Pure
+        # bookkeeping — a teardown drain must never raise.
+        until = time.monotonic() + _JOIN_TIMEOUT_S
         for handle in self._handles.values():
-            handle.process.join(timeout=2.0)
+            while not handle.lost and not handle.ready:
+                try:
+                    if not handle.conn.poll(max(0.0,
+                                                until - time.monotonic())):
+                        break
+                    message, _ = handle.conn.recv()
+                except (EOFError, OSError):
+                    break
+                if isinstance(message, WorkerReady):
+                    handle.ready = True
+                elif isinstance(message, ResultEnvelope):
+                    state = self._shards.get(message.shard_index)
+                    if state is not None and state.done:
+                        self._duplicates += 1
+        # A worker exits when its pipe closes.
+        for handle in self._handles.values():
+            handle.conn.close()
+        for handle in self._handles.values():
+            handle.process.join(timeout=_JOIN_TIMEOUT_S)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
-        # Workers are gone, so every send has landed: drain the
-        # farewell traffic so duplicate accounting is complete. Pure
-        # bookkeeping — a teardown drain must never raise.
-        while True:
-            item = transport.collect(0.0)
-            if item is None:
-                break
-            message = item[0]
-            if isinstance(message, ResultEnvelope):
-                state = self._shards.get(message.shard_index)
-                if state is not None and state.done:
-                    self._duplicates += 1
         plane.finish(failed=failed)
         for path in plane.postmortems:
             if path not in self.postmortems:
                 self.postmortems.append(path)
-        if self._owns_transport:
-            transport.close()

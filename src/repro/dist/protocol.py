@@ -1,29 +1,30 @@
 """The coordinator/worker wire contract.
 
-Every control message that crosses the transport is one of the frozen
-keyword-only dataclasses below, each carrying plain scalar fields only
-— so a message both pickles across a ``multiprocessing`` queue *and*
-round-trips through JSON (:meth:`to_jsonable` / :func:`message_from_
-jsonable`), which is what a future socket/multi-host transport needs.
-The messages sit inside the repro-lint RPR007 serialization closure
-next to :class:`~repro.experiments.harness.ShardJob`: no callables,
-handles, locks, or lambda defaults may ever creep into their fields.
+Every control message that crosses a worker's pipe is one of the
+frozen keyword-only dataclasses below, each carrying plain scalar
+fields only — so a message both pickles across a
+``multiprocessing.Pipe`` *and* round-trips through JSON
+(:meth:`to_jsonable` / :func:`message_from_jsonable`), which is what a
+socket/multi-host link needs. The messages sit inside the repro-lint
+RPR007 serialization closure next to
+:class:`~repro.experiments.harness.ShardJob`: no callables, handles,
+locks, or lambda defaults may ever creep into their fields.
 
-Payloads (the :class:`~repro.experiments.harness.ShardJob` a job
-carries, the :class:`~repro.runner.ShardResult` a result delivers)
-deliberately ride *beside* the envelope as a transport-level pair, not
-inside it: the envelope is the routable header — small, versioned,
-JSON-clean — and the payload is whatever the transport's serializer
-(pickle today) moves. A multi-host transport swaps the payload codec
-without touching the protocol.
+Every pipe item is an ``(envelope, payload)`` pair. Payloads (the
+:class:`~repro.experiments.harness.ShardJob` a job carries, the
+:class:`~repro.runner.ShardResult` a result delivers) deliberately
+ride *beside* the envelope, not inside it: the envelope is the
+routable header — small, versioned, JSON-clean — and the payload is
+whatever the link's serializer (pickle today) moves. A multi-host link
+swaps the payload codec without touching the protocol.
 
-One record from outside this module shares the control channel: the
-shard heartbeat, a frozen :class:`~repro.obs.live.ShardBeat` sent with
+One record from outside this module shares the pipe: the shard
+heartbeat, a frozen :class:`~repro.obs.live.ShardBeat` sent with
 payload ``None``. It is in the RPR007 closure too and round-trips
 through its own ``to_jsonable``/``from_jsonable``.
 
 Wire compatibility is versioned by :data:`PROTOCOL_VERSION`, stamped
-into every :class:`WorkerHello`; the coordinator rejects a worker whose
+into every :class:`WorkerReady`; the coordinator rejects a worker whose
 protocol differs rather than guessing.
 """
 
@@ -32,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-#: Wire-format version; bump on any message shape change (2: shard
-#: heartbeats joined the control channel).
-PROTOCOL_VERSION = 2
+#: Wire-format version; bump on any message shape change (3: one pipe
+#: per worker, ``WorkerReady`` replaces hello/ack/idle beat).
+PROTOCOL_VERSION = 3
 
 #: ``type`` tag → message class (filled by ``_register``).
 MESSAGE_TYPES: dict[str, type] = {}
@@ -74,8 +75,14 @@ class _Jsonable:
 
 @_register
 @dataclass(frozen=True, slots=True, kw_only=True)
-class WorkerHello(_Jsonable):
-    """First message a worker sends: identity + wire version."""
+class WorkerReady(_Jsonable):
+    """The worker is idle and will read its next job.
+
+    Sent once at start (identity + wire version) and again after the
+    last send for each job. Between this message and its next job a
+    worker writes nothing, so the coordinator may block sending a job
+    larger than the pipe buffer without either side deadlocking.
+    """
 
     worker_id: str
     pid: int = 0
@@ -84,48 +91,19 @@ class WorkerHello(_Jsonable):
 
 @_register
 @dataclass(frozen=True, slots=True, kw_only=True)
-class WorkerBeat(_Jsonable):
-    """Worker-level liveness (distinct from per-shard ShardBeats).
-
-    Sent when a worker is idle between claims, so the coordinator can
-    tell "alive but starved" from "gone" even when no shard is
-    executing on it.
-    """
-
-    worker_id: str
-    busy: bool = False
-    job_id: str = ""
-    jobs_done: int = 0
-
-
-@_register
-@dataclass(frozen=True, slots=True, kw_only=True)
 class JobEnvelope(_Jsonable):
     """The routable header of one dispatched shard job.
 
     ``job_id`` names the shard (stable across attempts); ``attempt``
-    counts dispatches of that shard, so a stolen lease's re-dispatch is
-    distinguishable from the original on the wire. ``lease_s`` is the
-    coordinator's promise window: a claimed job with no result and no
-    heartbeat for that long is requeued for any other worker to steal.
+    counts dispatches of that shard, so a re-dispatch after a lost
+    worker or an expired lease is distinguishable from the original on
+    the wire.
     """
 
     job_id: str
     shard_index: int
     n_shards: int
     attempt: int = 0
-    lease_s: float = 120.0
-
-
-@_register
-@dataclass(frozen=True, slots=True, kw_only=True)
-class JobAck(_Jsonable):
-    """A worker claimed a job: the lease now has an owner and a clock."""
-
-    worker_id: str
-    job_id: str
-    shard_index: int
-    attempt: int
 
 
 @_register
@@ -133,9 +111,9 @@ class JobAck(_Jsonable):
 class JobNack(_Jsonable):
     """A worker gave a job back: the shard raised (reason says why).
 
-    A nack is an *orderly* failure — the worker survives and keeps
-    claiming. Worker loss has no message at all; the coordinator infers
-    it from heartbeat silence and process death.
+    A nack is an *orderly* failure — the worker survives and reports
+    ready again. Worker loss has no message at all; the coordinator
+    infers it from process death, pipe EOF, or an expired lease.
     """
 
     worker_id: str
@@ -151,7 +129,7 @@ class ResultEnvelope(_Jsonable):
     """A completed job's header; the ShardResult payload rides beside.
 
     ``ok`` is redundant with the presence of a payload today but keeps
-    the header self-describing for transports whose payload channel is
+    the header self-describing for links whose payload channel is
     separate (a multi-host backend shipping results out of band).
     """
 

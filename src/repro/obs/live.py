@@ -29,10 +29,9 @@ Transport
 ---------
 A worker publishes beats through a :class:`CallbackTransport`. In the
 in-process loop its sink is the aggregator's ``ingest``; in a
-:mod:`repro.dist` worker it is the worker's control-channel
-``WorkerEndpoint.send``, so beats travel on the coordinator's one
-queue beside acks and results, and the coordinator feeds them to the
-aggregator.
+:mod:`repro.dist` worker it sends on the worker's pipe, so beats
+travel beside results, and the coordinator feeds them to the
+aggregator and renews the shard's lease with each one.
 
 See DESIGN.md §12 for the full plane architecture and the determinism
 argument.
@@ -153,11 +152,13 @@ class LiveOptions:
 
     ``stall_after_s`` is the watchdog's wall-clock silence window: a
     running shard that has not beaten for that long is flagged stalled
-    (and un-flagged by its next beat). ``lag_threshold_s`` is the
-    **sim-time** watermark-lag bound: a shard trailing the median
-    running shard's watermark by more than this is flagged a straggler.
-    Both produce structured warnings (and the ``on_straggler`` hook of
-    :class:`LiveAggregator`) — never any change to the simulation.
+    (and un-flagged by its next beat). The :mod:`repro.dist`
+    coordinator uses the same window as its lease, so
+    ``beat_interval_s`` must stay below it or healthy shards would lose
+    their leases between beats. ``lag_threshold_s`` is the **sim-time**
+    watermark-lag bound: a shard trailing the median running shard's
+    watermark by more than this is flagged a straggler. Both produce
+    structured warnings — never any change to the simulation.
     """
 
     beat_interval_s: float = 1.0
@@ -166,6 +167,18 @@ class LiveOptions:
     progress: bool = False
     ring_size: int = 256
     postmortem_dir: Path | None = None
+
+    def __post_init__(self) -> None:
+        if not self.beat_interval_s > 0:
+            raise ValueError(f"beat_interval_s must be positive, got "
+                             f"{self.beat_interval_s}")
+        if not self.stall_after_s > 0:
+            raise ValueError(f"stall_after_s must be positive, got "
+                             f"{self.stall_after_s}")
+        if self.beat_interval_s >= self.stall_after_s:
+            raise ValueError(f"beat_interval_s ({self.beat_interval_s}) "
+                             f"must be below stall_after_s "
+                             f"({self.stall_after_s})")
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +196,8 @@ class BeatTransport:
 class CallbackTransport(BeatTransport):
     """Delivers each beat to ``sink``.
 
-    Picklable exactly when ``sink`` is: a dist worker endpoint's bound
-    ``send`` crosses the process boundary, an aggregator's ``ingest``
-    (which holds a lock) stays in-process.
+    A :mod:`repro.dist` worker builds one around its pipe's send; the
+    in-process loop uses an aggregator's ``ingest``.
     """
 
     def __init__(self, sink: Callable[[ShardBeat], None]) -> None:
@@ -377,18 +389,13 @@ class LiveAggregator:
     Thread-safe: beats may arrive on one thread while the watchdog and
     renderer read from another. The injected ``clock`` (monotonic
     seconds) makes stall detection testable without waiting out real
-    silence windows. ``on_straggler`` is the optional hook the
-    :mod:`repro.dist` coordinator uses to steal stalled leases —
-    observation only, it must never mutate sim state.
+    silence windows. Findings are logged under ``repro.obs.live``.
     """
 
     def __init__(self, n_shards: int, options: LiveOptions, *,
-                 clock: Callable[[], float] = time.monotonic,
-                 on_straggler: Callable[[StragglerEvent], None] | None = None,
-                 ) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.options = options
         self._clock = clock
-        self._on_straggler = on_straggler
         self._lock = threading.Lock()
         self._views = {index: ShardView(shard_index=index)
                        for index in range(int(n_shards))}
@@ -422,7 +429,7 @@ class LiveAggregator:
         """Re-arm one shard's view for a re-dispatched attempt.
 
         The distributed coordinator calls this when it requeues a
-        shard (stolen lease, lost worker): the stall/lag/done/failed
+        shard (expired lease, lost worker): the stall/lag/done/failed
         flags belong to the dead attempt, and the shard waits for a
         worker again, so the watchdog times the *new* attempt from its
         first beat, not the old one's corpse. The last beat is kept —
@@ -498,8 +505,6 @@ class LiveAggregator:
             _log.info("%s", event.message)
         else:
             _log.warning("%s", event.message)
-        if self._on_straggler is not None:
-            self._on_straggler(event)
 
     # -- views --------------------------------------------------------
 
@@ -610,7 +615,7 @@ class WorkerLiveSetup:
 
     Deliberately *not* part of the job payload: the transport is
     execution plumbing, and keeping it out of :class:`ShardJob` keeps
-    the RPR007 serialization closure free of queue handles.
+    the RPR007 serialization closure free of pipe handles.
     """
 
     transport: BeatTransport
@@ -626,7 +631,7 @@ class LivePlane:
 
     ``start`` spins up the watchdog/renderer thread; beats reach the
     aggregator from whoever delivers them (the in-process loop's
-    callback, or the coordinator's control-channel handler). ``finish``
+    callback, or the coordinator reading its worker pipes). ``finish``
     runs a last watchdog pass, writes parent-side postmortems for
     shards that never finished (worker loss, stall-timeout), and stops
     the thread. The plane is pure observation: it holds no reference
@@ -636,14 +641,12 @@ class LivePlane:
     def __init__(self, options: LiveOptions, *, n_shards: int,
                  system: str = "", backend: str = "",
                  stream: IO[str] | None = None,
-                 on_straggler: Callable[[StragglerEvent], None] | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.options = options
         self.n_shards = int(n_shards)
         self.system = system
         self.backend = backend
-        self.aggregator = LiveAggregator(n_shards, options, clock=clock,
-                                         on_straggler=on_straggler)
+        self.aggregator = LiveAggregator(n_shards, options, clock=clock)
         self.renderer = (ProgressRenderer(stream) if options.progress
                          else None)
         self.postmortem_dir = (options.postmortem_dir
@@ -669,8 +672,8 @@ class LivePlane:
         """The per-worker setup shipped beside each shard job.
 
         ``transport`` defaults to direct delivery into this plane's
-        aggregator (the in-process loop); a coordinator worker passes
-        one over its control-channel endpoint instead.
+        aggregator (the in-process loop); a coordinator worker swaps in
+        one over its own pipe.
         """
         return WorkerLiveSetup(
             transport=(transport if transport is not None

@@ -556,7 +556,7 @@ class Runner:
         (``min(parallelism, shards)``) and no chaos plan, shards run
         one after another in this process; otherwise the
         :class:`repro.dist.Coordinator` dispatches them to that many
-        worker processes with lease-based work-stealing and retry.
+        worker processes with beat-renewed leases and retry.
         Purely an execution knob: results are bit-for-bit identical at
         any value.
     shards:
@@ -665,7 +665,7 @@ class Runner:
         (both, compared on the identical trace). With one effective
         worker and no chaos plan the shards run serially in this
         process; otherwise a :class:`repro.dist.Coordinator` dispatches
-        them to worker processes with lease-based stealing and retry.
+        them to worker processes with beat-renewed leases and retry.
         Both paths merge shard results in shard-index order with
         duplicates discarded, so the metrics are identical.
         """

@@ -35,6 +35,15 @@ def test_non_positive_execution_flag_is_usage_error(flag, value, capsys):
     assert "Traceback" not in err
 
 
+def test_beat_interval_at_the_stall_window_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["headline", "--progress", "--beat-interval", "45"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be below stall_after_s" in err
+    assert "Traceback" not in err
+
+
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,8 @@
 """Tests for the repro.dist wire contract and the chaos plan.
 
-Covers the JSON round-trip of every protocol message (the property the
-future socket transport rests on), the tagged decoder, the Manager
-transport's offer/claim/send/collect plumbing, and the seeded purity of
-:func:`repro.faults.chaos.chaos_decision`.
+Covers the JSON round-trip of every protocol message (the property a
+socket/multi-host link rests on), the tagged decoder, and the seeded
+purity of :func:`repro.faults.chaos.chaos_decision`.
 """
 
 from __future__ import annotations
@@ -15,23 +14,17 @@ import pytest
 from repro.dist.protocol import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
-    JobAck,
     JobEnvelope,
     JobNack,
     ResultEnvelope,
-    WorkerBeat,
-    WorkerHello,
+    WorkerReady,
     message_from_jsonable,
 )
-from repro.dist.transport import STOP, ManagerTransport
 from repro.faults.chaos import ChaosDecision, CoordinatorChaos, chaos_decision
 
 _SAMPLES = [
-    WorkerHello(worker_id="w0", pid=1234),
-    WorkerBeat(worker_id="w1", busy=True, job_id="shard-002", jobs_done=3),
-    JobEnvelope(job_id="shard-005", shard_index=5, n_shards=8, attempt=1,
-                lease_s=30.0),
-    JobAck(worker_id="w2", job_id="shard-001", shard_index=1, attempt=0),
+    WorkerReady(worker_id="w0", pid=1234),
+    JobEnvelope(job_id="shard-005", shard_index=5, n_shards=8, attempt=1),
     JobNack(worker_id="w0", job_id="shard-003", shard_index=3, attempt=2,
             reason="ValueError: boom"),
     ResultEnvelope(worker_id="w1", job_id="shard-000", shard_index=0,
@@ -60,50 +53,24 @@ def test_every_registered_type_is_covered_by_a_sample():
 
 
 def test_hello_carries_the_protocol_version():
-    assert WorkerHello(worker_id="w").protocol == PROTOCOL_VERSION
+    assert WorkerReady(worker_id="w").protocol == PROTOCOL_VERSION
 
 
 def test_from_jsonable_rejects_unknown_fields_and_wrong_type():
-    good = JobAck(worker_id="w", job_id="j", shard_index=0,
-                  attempt=0).to_jsonable()
-    with pytest.raises(ValueError, match="unknown JobAck field"):
-        JobAck.from_jsonable({**good, "bogus": 1})
-    with pytest.raises(ValueError, match="not a JobNack"):
-        JobNack.from_jsonable(good)
+    good = JobNack(worker_id="w", job_id="j", shard_index=0,
+                   attempt=0).to_jsonable()
+    with pytest.raises(ValueError, match="unknown JobNack field"):
+        JobNack.from_jsonable({**good, "bogus": 1})
+    with pytest.raises(ValueError, match="not a ResultEnvelope"):
+        ResultEnvelope.from_jsonable(good)
     with pytest.raises(ValueError, match="unknown dist protocol message"):
         message_from_jsonable({"type": "Mystery"})
 
 
 def test_messages_are_frozen():
-    envelope = _SAMPLES[2]
+    envelope = _SAMPLES[1]
     with pytest.raises(AttributeError):
         envelope.attempt = 9  # type: ignore[misc]
-
-
-# ---------------------------------------------------------------------
-# Manager transport
-# ---------------------------------------------------------------------
-
-
-def test_manager_transport_round_trip():
-    transport = ManagerTransport()
-    try:
-        endpoint = transport.worker_endpoint()
-        envelope = JobEnvelope(job_id="shard-000", shard_index=0,
-                               n_shards=1)
-        transport.offer(envelope, {"payload": "task"})
-        claimed = endpoint.claim(2.0)
-        assert claimed == (envelope, {"payload": "task"})
-        assert endpoint.claim(0.05) is None          # queue drained
-        reply = ResultEnvelope(worker_id="w0", job_id="shard-000",
-                               shard_index=0, attempt=0)
-        endpoint.send(reply, {"payload": "result"})
-        assert transport.collect(2.0) == (reply, {"payload": "result"})
-        assert transport.collect(0.05) is None
-        transport.offer_stop()
-        assert endpoint.claim(2.0) == (STOP, None)
-    finally:
-        transport.close()
 
 
 # ---------------------------------------------------------------------

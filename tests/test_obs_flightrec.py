@@ -257,7 +257,7 @@ def test_killed_worker_leaves_readable_postmortem(tiny_config, tiny_world,
 
     config = dataclasses.replace(
         tiny_config, faults=FaultPlan(loss_prob=0.1))
-    live = LiveOptions(beat_interval_s=0.0,
+    live = LiveOptions(beat_interval_s=0.001,
                        postmortem_dir=tmp_path / "postmortems")
     result = Runner(config, parallelism=2, shards=2, world=tiny_world,
                     chaos=CoordinatorChaos(seed=3, kill_prob=1.0),
