@@ -3,13 +3,11 @@
 Every ``bench_*.py`` run appends one deterministic
 :class:`repro.obs.ledger.RunRecord` to the committed
 ``benchmarks/ledger.jsonl`` via the ``record_table`` fixture, so the
-repo accumulates its own result trajectory: the record carries the run
-manifest identity (config hash, seed, RNG stream-manifest hash), the
+repo accumulates its own result trajectory: the record carries the
+run's identity (config hash, seed, RNG stream-manifest hash), the
 benchmark's curated headline metrics, and a content digest of the full
-result rows. Timing-bearing observations (pytest-benchmark stats, peak
-RSS — see :mod:`repro.obs.resources`) go to the gitignored
-``ledger.timings.jsonl`` sibling, mirroring the committed-``.txt`` /
-gitignored-``.json`` split of ``benchmarks/results/``.
+result rows. No timing enters the record; cross-commit timing is
+``perfbench``'s job.
 
 ``adprefetch obs ledger regress`` gates the latest record of every run
 key against the committed trajectory (see DESIGN.md §11).
@@ -24,8 +22,6 @@ from typing import Mapping
 
 from repro.experiments.config import ExperimentConfig
 from repro.obs.ledger import Ledger, RunRecord
-from repro.obs.manifest import build_manifest
-from repro.obs.resources import collect_telemetry
 
 #: The committed ledger benchmarks append to.
 LEDGER_PATH = Path(__file__).parent / "ledger.jsonl"
@@ -40,15 +36,12 @@ def rows_digest(rows: object) -> str:
 def append_bench_record(experiment_id: str, *,
                         config: ExperimentConfig | None,
                         metrics: Mapping[str, float] | None,
-                        rows: object,
-                        stats: Mapping[str, float]) -> RunRecord:
+                        rows: object) -> RunRecord:
     """Append one benchmark run to the committed ledger.
 
     ``metrics`` is the benchmark's curated map of headline scalar
     results (the quantities ``regress`` guards); ``rows`` is the full
     plain-JSON result payload, pinned by digest without being stored.
-    ``stats`` (pytest-benchmark timing) never enters the record — it
-    rides the timings sibling next to the sampled resource telemetry.
     ``rows=None`` skips the digest (benchmarks whose rows carry
     wall-clock numbers). Config-free artifacts (static app-model
     tables) still get a record keyed by the experiment id alone.
@@ -56,18 +49,12 @@ def append_bench_record(experiment_id: str, *,
     digest = rows_digest(rows) if rows is not None else ""
     curated = {str(k): float(v) for k, v in dict(metrics or {}).items()}
     if config is not None:
-        manifest = build_manifest(config, system=experiment_id, n_shards=1,
-                                  parallelism=1, trace_enabled=False,
-                                  elapsed_s=0.0)
-        record = RunRecord.from_manifest(manifest, experiment=experiment_id,
-                                         metrics=curated,
-                                         metrics_digest=digest)
+        record = RunRecord.for_run(config, system=experiment_id, n_shards=1,
+                                   parallelism=1, metrics=curated,
+                                   metrics_digest=digest)
     else:
         record = RunRecord(experiment=experiment_id, system=experiment_id,
                            config_hash="static", seed=0, n_shards=1,
                            parallelism=1, metrics=curated,
                            metrics_digest=digest)
-    telemetry = collect_telemetry(elapsed_s=float(stats.get("total", 0.0)))
-    return Ledger(LEDGER_PATH).append(
-        record, telemetry=telemetry,
-        timing_extra={"benchmark": dict(stats)} if stats else None)
+    return Ledger(LEDGER_PATH).append(record)

@@ -9,17 +9,14 @@ environment-overridable:
 ``REPRO_BENCH_TRAIN_DAYS`` (default 4), ``REPRO_BENCH_SEED`` (default 7).
 
 Rendered tables are printed (visible with ``-s``) and written to
-``benchmarks/results/`` so a plain ``pytest benchmarks/`` run leaves the
-reproduced artifacts on disk. Each benchmark also writes a
-machine-readable ``results/<id>.json`` holding the result rows, the
-pytest-benchmark timing stats, and a run manifest (config hash, seed,
-RNG stream-manifest hash — see :mod:`repro.obs.manifest`).
+``benchmarks/results/<id>.txt`` so a plain ``pytest benchmarks/`` run
+leaves the reproduced artifacts on disk, and each benchmark appends one
+deterministic record to the committed run ledger (see :mod:`_ledger`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from pathlib import Path
 
@@ -27,11 +24,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    streams_manifest_hash,
-)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -82,43 +74,16 @@ def _rows_of(result):
     return [result]
 
 
-def _stats_of(benchmark) -> dict[str, float]:
-    """The pytest-benchmark timing stats, as plain numbers."""
-    meta = getattr(benchmark, "stats", None)
-    stats = getattr(meta, "stats", meta)
-    out: dict[str, float] = {}
-    for field in ("min", "max", "mean", "stddev", "median", "rounds",
-                  "total"):
-        value = getattr(stats, field, None)
-        if isinstance(value, (int, float)):
-            out[field] = value
-    return out
-
-
-def _manifest_of(experiment_id: str, config: ExperimentConfig | None,
-                 elapsed_s: float) -> dict[str, object]:
-    if config is None:
-        # Config-free artifacts (static app-model tables) still pin the
-        # stream manifest so drift is visible in the recorded results.
-        return {"schema_version": MANIFEST_SCHEMA_VERSION,
-                "system": experiment_id,
-                "rng_stream_manifest_hash": streams_manifest_hash()}
-    return build_manifest(config, system=experiment_id, n_shards=1,
-                          parallelism=1, trace_enabled=False,
-                          elapsed_s=elapsed_s).to_jsonable()
-
-
 @pytest.fixture
-def record_table(benchmark):
-    """Record one benchmark's artifacts under ``benchmarks/results/``.
+def record_table():
+    """Record one benchmark's artifacts.
 
-    ``_record`` writes the rendered table as ``<id>.txt`` (and echoes it
-    for ``-s`` runs) plus a machine-readable ``<id>.json`` combining the
-    result rows, the pytest-benchmark stats, and the run manifest — and
-    appends one deterministic record to the committed run ledger
-    (``benchmarks/ledger.jsonl``; see :mod:`_ledger`). ``metrics`` is
-    the benchmark's curated map of headline scalars, the quantities
-    ``adprefetch obs ledger regress`` guards.
+    ``_record`` writes the rendered table as ``benchmarks/results/<id>.txt``
+    (and echoes it for ``-s`` runs) and appends one deterministic record
+    to the committed run ledger (``benchmarks/ledger.jsonl``; see
+    :mod:`_ledger`). ``metrics`` is the benchmark's curated map of
+    headline scalars, the quantities ``adprefetch obs ledger regress``
+    guards.
     """
     import _ledger
 
@@ -130,24 +95,12 @@ def record_table(benchmark):
                 volatile_rows: bool = False) -> None:
         print(f"\n{text}\n")
         (RESULTS_DIR / f"{experiment_id}.txt").write_text(text + "\n")
-        stats = _stats_of(benchmark)
-        rows = _jsonable(_rows_of(result))
-        payload = {
-            "experiment": experiment_id,
-            "rows": rows,
-            "benchmark": stats,
-            "manifest": _manifest_of(experiment_id, config,
-                                     stats.get("total", 0.0)),
-        }
-        (RESULTS_DIR / f"{experiment_id}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
         # volatile_rows: the rows themselves carry wall-clock numbers
         # (scaling curves), so pinning their digest would make the
         # record nondeterministic — only the curated metrics go in.
+        rows = None if volatile_rows else _jsonable(_rows_of(result))
         _ledger.append_bench_record(experiment_id, config=config,
-                                    metrics=metrics,
-                                    rows=None if volatile_rows else rows,
-                                    stats=stats)
+                                    metrics=metrics, rows=rows)
 
     return _record
 

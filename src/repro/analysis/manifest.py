@@ -18,7 +18,7 @@ from .session import StreamSite
 _VERSION = 1
 
 
-def build_manifest(sites: list[StreamSite]) -> dict[str, object]:
+def build_stream_manifest(sites: list[StreamSite]) -> dict[str, object]:
     """Group stream sites by template into the manifest payload."""
     grouped: dict[str, list[str]] = {}
     for site in sites:
@@ -39,7 +39,7 @@ def build_manifest(sites: list[StreamSite]) -> dict[str, object]:
 
 def write_manifest(sites: list[StreamSite], path: str | Path) -> None:
     """Write the manifest for ``sites`` to ``path`` (creating parents)."""
-    payload = build_manifest(sites)
+    payload = build_stream_manifest(sites)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(payload, indent=2) + "\n",
@@ -66,7 +66,7 @@ def check_manifest(sites: list[StreamSite],
         # but a stream moving files (or appearing/vanishing) is drift.
         return sorted({site.rsplit(":", 1)[0] for site in site_list})
 
-    expected = build_manifest(sites)
+    expected = build_stream_manifest(sites)
     expected_streams: list[dict[str, object]] = expected["streams"]
     current = {str(entry["name"]): _files(list(entry["sites"]))
                for entry in expected_streams}

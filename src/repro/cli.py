@@ -25,8 +25,9 @@ bit-for-bit identical at any ``--jobs``) and
 reference engine under the contract in :mod:`repro.sim.batched`; see
 DESIGN.md §10). They also accept
 the observability flags: ``--metrics-out DIR`` writes one
-``run-NNN-<system>`` artifact directory per run (manifest, merged
-metrics, wall-clock profile), and ``--trace`` additionally records the
+``run-NNN-<system>`` artifact directory per run holding one
+``run.json`` (run record, config, merged metrics, wall-clock profile,
+resource telemetry), and ``--trace`` additionally records the
 sim-time trace (JSONL plus a Chrome ``trace_event`` export loadable in
 Perfetto; implies ``--metrics-out`` defaulting to ``./obs-runs``), and
 ``--ledger PATH`` appends one deterministic
@@ -166,12 +167,13 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                              "trace_event export; results stay "
                              "bit-identical)")
     parser.add_argument("--metrics-out", metavar="DIR", default=None,
-                        help="write run artifacts (manifest, metrics, "
-                             "profile, resources) under DIR")
+                        help="write one run-NNN-<label>/run.json per run "
+                             "(record, config, metrics, profile, "
+                             "resources) under DIR")
     parser.add_argument("--ledger", metavar="PATH", default=None,
                         help="append one RunRecord per run to this JSONL "
-                             "ledger (timing telemetry goes to the "
-                             "gitignored .timings sibling)")
+                             "ledger (deterministic fields only; timings "
+                             "stay in run.json)")
     parser.add_argument("--verbose", action="store_true",
                         help="enable repro.obs.log diagnostics on stderr")
     parser.add_argument("--progress", action="store_true",

@@ -7,7 +7,7 @@ with the knobs of the client's retry/backoff response. The plan is a
 frozen keyword-only dataclass so it can ride inside
 :class:`repro.experiments.config.ExperimentConfig`, round-trip through
 JSON (``adprefetch run e13 --faults plan.json``), and hash into the run
-manifest: two runs with the same ``(config, seed, plan)`` triple are
+record: two runs with the same ``(config, seed, plan)`` triple are
 bit-identical at any ``--jobs``.
 
 The *empty* plan (all intensities zero) is inert by construction: no
@@ -166,7 +166,7 @@ class FaultPlan:
     def digest(self) -> str:
         """Content hash of the plan (sha256 over sorted JSON).
 
-        Recorded in the run manifest so two runs are comparable exactly
+        Recorded in the run record so two runs are comparable exactly
         when their ``(config, seed, plan)`` hashes agree.
         """
         payload = json.dumps(self.to_jsonable(), sort_keys=True)

@@ -15,12 +15,14 @@ Three pillars, all designed around the determinism contract:
   real time goes (world build, shard execute, merge) without touching
   simulated quantities.
 
-:mod:`repro.obs.manifest` records run provenance;
-:mod:`repro.obs.ledger` accumulates it — an append-only, schema-
-versioned run ledger with tolerance-aware ``diff`` and a ``regress``
-CI gate (DESIGN.md §11); :mod:`repro.obs.resources` samples the
-timing-bearing resource telemetry (peak RSS, CPU seconds, users/sec)
-that rides beside it; and :mod:`repro.obs.log` replaces ad-hoc prints
+:class:`RunRecord` (:mod:`repro.obs.ledger`) is the one type that
+identifies a run; :mod:`repro.obs.ledger` accumulates records in an
+append-only, schema-versioned run ledger with tolerance-aware ``diff``
+and a ``regress`` CI gate (DESIGN.md §11). Each run's artifact
+directory holds one ``run.json`` — the record, config, metrics,
+wall-clock profile and the resource telemetry sampled by
+:mod:`repro.obs.resources` — written and validated by
+:mod:`repro.obs.summarize`. :mod:`repro.obs.log` replaces ad-hoc prints
 with a silenceable shared logger. :mod:`repro.obs.live` is the live
 telemetry plane — streamed :class:`ShardBeat` heartbeats, the
 straggler/stall watchdog, and the ``--progress`` renderer — with
@@ -44,10 +46,8 @@ from .ledger import (
     RegressReport,
     RunRecord,
     diff_records,
-    merge_records,
     regress,
     snapshot_digest,
-    timings_path_for,
 )
 from .live import (
     NULL_EMITTER,
@@ -64,9 +64,6 @@ from .live import (
     shard_heartbeat,
 )
 from .manifest import (
-    MANIFEST_FILENAME,
-    RunManifest,
-    build_manifest,
     config_digest,
     streams_manifest_hash,
 )
@@ -94,7 +91,14 @@ from .runtime import (
     recorder,
     set_default_obs_options,
 )
-from .summarize import SummarizeError, find_run_dirs, load_run, summarize
+from .summarize import (
+    RunFile,
+    SummarizeError,
+    find_run_dirs,
+    load_run,
+    summarize,
+    write_run,
+)
 from .trace import (
     NULL_RECORDER,
     MemoryRecorder,
@@ -111,7 +115,6 @@ from .trace import (
 __all__ = [
     "DEFAULT_LEDGER_PATH",
     "LEDGER_SCHEMA_VERSION",
-    "MANIFEST_FILENAME",
     "NULL_EMITTER",
     "NULL_RECORDER",
     "POSTMORTEM_SCHEMA_VERSION",
@@ -140,7 +143,7 @@ __all__ = [
     "RegressReport",
     "ResourceTelemetry",
     "RingRecorder",
-    "RunManifest",
+    "RunFile",
     "RunProfile",
     "RunRecord",
     "ShardBeat",
@@ -149,7 +152,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "activate",
-    "build_manifest",
     "collect_telemetry",
     "config_digest",
     "counter",
@@ -162,7 +164,6 @@ __all__ = [
     "list_postmortems",
     "load_run",
     "log",
-    "merge_records",
     "next_run_dir",
     "peak_rss_bytes",
     "read_jsonl",
@@ -174,10 +175,10 @@ __all__ = [
     "snapshot_digest",
     "streams_manifest_hash",
     "summarize",
-    "timings_path_for",
     "to_chrome",
     "validate_instrument_name",
     "validate_jsonl",
     "write_chrome",
     "write_jsonl",
+    "write_run",
 ]

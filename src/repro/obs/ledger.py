@@ -1,22 +1,21 @@
 """Append-only run ledger: the durable record of how runs evolve.
 
 Every experiment or benchmark run appends one :class:`RunRecord` — the
-run's :class:`~repro.obs.manifest.RunManifest` identity (config hash,
-seed, RNG-stream manifest hash, fault-plan hash, backend and its
-equivalence-contract hash) joined with the deterministic counter
-totals, a content digest of the merged metrics snapshot, and a flat
-map of the run's headline result metrics. Records accumulate in a
-JSONL ledger (committed: ``benchmarks/ledger.jsonl``), so the repo
-carries its own perf/behaviour trajectory and any PR that silently
+run's identity (config hash, seed, RNG-stream manifest hash, fault-plan
+hash, backend and its equivalence-contract hash) joined with the
+deterministic counter totals, a content digest of the merged metrics
+snapshot, and a flat map of the run's headline result metrics. The
+same record heads the run's ``run.json`` (:mod:`repro.obs.summarize`),
+so a run directory and its ledger row never disagree. Records
+accumulate in a JSONL ledger (committed: ``benchmarks/ledger.jsonl``),
+so the repo carries its own result trajectory and any PR that silently
 changes throughput counters, energy totals, or SLA numbers is visible
 as a ledger diff.
 
-Timing-bearing observations (wall clock, peak RSS, users/sec — see
-:mod:`repro.obs.resources`) never enter the committed records: they go
-to a gitignored *timings sibling* (``<ledger>.timings.jsonl``),
-mirroring the committed-``.txt`` / gitignored-``.json`` benchmark
-split. A record is therefore a pure function of (code, config, seed)
-and two checkouts can diff ledgers byte for byte.
+Timing-bearing observations (wall clock, peak RSS, CPU seconds) never
+enter a record: a record is a pure function of (code, config, seed), so
+two checkouts can diff ledgers byte for byte. A run's timings live in
+its ``run.json``; cross-commit timing is ``perfbench``'s job.
 
 Comparison machinery:
 
@@ -34,17 +33,19 @@ Comparison machinery:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .manifest import RunManifest
+from .fields import check_object
+from .manifest import config_digest, streams_manifest_hash
 from .metrics import MetricsSnapshot
-from .resources import ResourceTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.experiments.config import ExperimentConfig
     from repro.sim.batched import ToleranceContract
 
 #: Ledger payload layout version (bumped on breaking record changes).
@@ -59,6 +60,16 @@ DEFAULT_LEDGER_PATH = Path("benchmarks") / "ledger.jsonl"
 #: Hex digits of the record content hash used as the record id.
 _ID_LEN = 12
 
+#: A record's JSON row: key (one per field) → JSON kind (see .fields).
+_RECORD_SCHEMA = {
+    "schema_version": "int", "experiment": "str", "system": "str",
+    "config_hash": "str", "seed": "int", "n_shards": "int",
+    "parallelism": "int", "backend": "str", "fault_plan_hash": "str?",
+    "rng_stream_manifest_hash": "str?", "equivalence_contract_hash": "str?",
+    "counter_totals": "{number}", "metrics": "{number}",
+    "metrics_digest": "str", "seq": "int",
+}
+
 
 def snapshot_digest(snapshot: MetricsSnapshot) -> str:
     """Content hash of a metrics snapshot (sha256 over sorted JSON)."""
@@ -68,13 +79,16 @@ def snapshot_digest(snapshot: MetricsSnapshot) -> str:
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
-    """One ledger entry: a run's deterministic identity and totals.
+    """A run's deterministic identity and totals: its ledger row.
 
-    Every field must be a pure function of (code, config, seed) — the
-    append path never writes wall-clock quantities here. ``seq`` is the
-    append position assigned by :class:`Ledger` (0 for a record not yet
-    appended) and is deliberately excluded from :attr:`record_id`, so
-    re-running an identical build appends a record with the same id.
+    The one type that identifies a run: :meth:`for_run` builds it,
+    ``RunResult.record`` carries it, ``run.json`` stores it under
+    ``record`` and ``--ledger`` appends it. Every field must be a pure
+    function of (code, config, seed) — no wall-clock quantity is ever
+    written here. ``seq`` is the append position assigned by
+    :class:`Ledger` (0 for a record not yet appended) and is
+    deliberately excluded from :attr:`record_id`, so re-running an
+    identical build appends a record with the same id.
 
     Records cross the process boundary when runs are distributed, so
     this class is a serialization root checked by ``repro-lint``
@@ -143,86 +157,60 @@ class RunRecord:
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, object]) -> "RunRecord":
-        """Inverse of :meth:`to_jsonable` (tolerant of missing keys)."""
-        def _i(key: str, default: int = 0) -> int:
-            value = payload.get(key, default)
-            return value if isinstance(value, int) else default
+        """Inverse of :meth:`to_jsonable`.
 
-        def _opt(key: str) -> str | None:
-            value = payload.get(key)
-            return value if isinstance(value, str) else None
-
-        def _floats(key: str) -> dict[str, float]:
-            raw = payload.get(key, {})
-            if not isinstance(raw, dict):
-                return {}
-            return {str(k): float(v) for k, v in raw.items()
-                    if isinstance(v, (int, float))}
-
-        return cls(
-            experiment=str(payload.get("experiment", "")),
-            system=str(payload.get("system", "")),
-            config_hash=str(payload.get("config_hash", "")),
-            seed=_i("seed"),
-            n_shards=_i("n_shards"),
-            parallelism=_i("parallelism"),
-            backend=str(payload.get("backend", "event")),
-            fault_plan_hash=_opt("fault_plan_hash"),
-            rng_stream_manifest_hash=_opt("rng_stream_manifest_hash"),
-            equivalence_contract_hash=_opt("equivalence_contract_hash"),
-            counter_totals=_floats("counter_totals"),
-            metrics=_floats("metrics"),
-            metrics_digest=str(payload.get("metrics_digest", "")),
-            schema_version=_i("schema_version", LEDGER_SCHEMA_VERSION),
-            seq=_i("seq"),
-        )
+        Every key is required with its exact JSON type, and no other
+        key may appear; a fault raises a one-line ``ValueError`` naming
+        the key (:class:`Ledger` prefixes the file and line).
+        """
+        return cls(**check_object(payload, _RECORD_SCHEMA, "the record"))
 
     @classmethod
-    def from_manifest(cls, manifest: RunManifest, *,
-                      experiment: str | None = None,
-                      metrics: Mapping[str, float] | None = None,
-                      metrics_digest: str = "") -> "RunRecord":
-        """Lift a :class:`RunManifest` into an appendable record.
+    def for_run(cls, config: "ExperimentConfig", *, system: str,
+                n_shards: int, parallelism: int, backend: str = "event",
+                experiment: str | None = None,
+                counter_totals: Mapping[str, float] | None = None,
+                metrics: Mapping[str, float] | None = None,
+                metrics_digest: str = "") -> "RunRecord":
+        """The record of one run of ``config`` (``seq`` 0, not appended).
 
-        ``experiment`` labels the record (defaults to the manifest's
-        system); ``metrics`` is the flat map of deterministic result
-        metrics to regress on; ``metrics_digest`` pins the full merged
-        snapshot without storing it.
+        The identity hashes are derived here — config digest, fault-plan
+        digest (``None`` for a fault-free run), RNG stream-manifest hash,
+        and the equivalence-contract digest a batched run claims —
+        so every producer of records agrees on them. ``experiment``
+        labels the record (defaults to ``system``); ``metrics`` is the
+        flat map of deterministic result metrics to regress on;
+        ``metrics_digest`` pins the full merged snapshot without
+        storing it. Totals and metrics are stored as floats, whatever
+        numeric type the instruments counted in.
         """
         return cls(
-            experiment=experiment if experiment else manifest.system,
-            system=manifest.system,
-            config_hash=manifest.config_hash,
-            seed=manifest.seed,
-            n_shards=manifest.n_shards,
-            parallelism=manifest.parallelism,
-            backend=manifest.backend,
-            fault_plan_hash=manifest.fault_plan_hash,
-            rng_stream_manifest_hash=manifest.rng_stream_manifest_hash,
-            equivalence_contract_hash=manifest.equivalence_contract_hash,
-            counter_totals=dict(manifest.counter_totals),
-            metrics=dict(metrics or {}),
+            experiment=experiment if experiment else system,
+            system=system,
+            config_hash=config_digest(config),
+            seed=config.seed,
+            n_shards=n_shards,
+            parallelism=parallelism,
+            backend=backend,
+            fault_plan_hash=(None if config.faults.is_empty
+                             else config.faults.digest()),
+            rng_stream_manifest_hash=streams_manifest_hash(),
+            equivalence_contract_hash=(_default_contract().digest()
+                                       if backend == "batched" else None),
+            counter_totals={name: float(value) for name, value
+                            in (counter_totals or {}).items()},
+            metrics={name: float(value)
+                     for name, value in (metrics or {}).items()},
             metrics_digest=metrics_digest,
         )
 
     def with_seq(self, seq: int) -> "RunRecord":
         """Copy of this record stamped with append position ``seq``."""
-        payload = self.to_jsonable()
-        payload["seq"] = int(seq)
-        return RunRecord.from_jsonable(payload)
+        return dataclasses.replace(self, seq=int(seq))
 
 
 class LedgerError(ValueError):
     """A ledger file is missing, malformed, or a reference is ambiguous."""
-
-
-def timings_path_for(ledger_path: str | Path) -> Path:
-    """The gitignored timings sibling of ``ledger_path``.
-
-    ``benchmarks/ledger.jsonl`` → ``benchmarks/ledger.timings.jsonl``.
-    """
-    path = Path(ledger_path)
-    return path.with_name(path.stem + ".timings.jsonl")
 
 
 class Ledger:
@@ -235,15 +223,6 @@ class Ledger:
 
     def __init__(self, path: str | Path = DEFAULT_LEDGER_PATH) -> None:
         self.path = Path(path)
-
-    @property
-    def timings_path(self) -> Path:
-        """Where this ledger's timing-bearing rows go (gitignored)."""
-        return timings_path_for(self.path)
-
-    def exists(self) -> bool:
-        """True when the ledger file is present on disk."""
-        return self.path.exists()
 
     def records(self) -> list[RunRecord]:
         """All records in file order (empty for a missing ledger)."""
@@ -271,18 +250,15 @@ class Ledger:
                         f"{row.get('version')!r} (expected "
                         f"{LEDGER_SCHEMA_VERSION})")
                 continue
-            records.append(RunRecord.from_jsonable(row))
+            try:
+                records.append(RunRecord.from_jsonable(row))
+            except ValueError as exc:
+                raise LedgerError(
+                    f"{self.path}: line {index + 1}: {exc}") from None
         return records
 
-    def append(self, record: RunRecord,
-               telemetry: ResourceTelemetry | None = None,
-               timing_extra: Mapping[str, object] | None = None
-               ) -> RunRecord:
-        """Append ``record`` (stamped with the next ``seq``) and return it.
-
-        ``telemetry``/``timing_extra`` go to the timings sibling, keyed
-        by the record's id and seq — never into the ledger itself.
-        """
+    def append(self, record: RunRecord) -> RunRecord:
+        """Append ``record`` (stamped with the next ``seq``) and return it."""
         existing = self.records()
         next_seq = (max(r.seq for r in existing) + 1) if existing else 1
         stamped = record.with_seq(next_seq)
@@ -294,24 +270,7 @@ class Ledger:
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
             fh.write(json.dumps(stamped.to_jsonable(), sort_keys=True)
                      + "\n")
-        if telemetry is not None or timing_extra:
-            self._append_timing(stamped, telemetry, timing_extra)
         return stamped
-
-    def _append_timing(self, record: RunRecord,
-                       telemetry: ResourceTelemetry | None,
-                       extra: Mapping[str, object] | None) -> None:
-        row: dict[str, object] = {
-            "record_id": record.record_id,
-            "seq": record.seq,
-            "experiment": record.experiment,
-        }
-        if telemetry is not None:
-            row["resources"] = telemetry.to_jsonable()
-        if extra:
-            row.update({str(k): v for k, v in sorted(extra.items())})
-        with self.timings_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     def resolve(self, ref: str) -> RunRecord:
         """A record by reference: seq number, id prefix, or ``latest``.
@@ -348,27 +307,6 @@ class Ledger:
             if record.seq == seq:
                 return record
         raise LedgerError(f"{self.path}: no record with seq {seq}")
-
-
-def merge_records(*groups: Sequence[RunRecord]) -> list[RunRecord]:
-    """Union several record streams into one deterministic ordering.
-
-    Records sort by ``(seq, record_id)`` and exact duplicates — same id
-    *and* same seq, i.e. the same append observed via two paths — are
-    dropped. The operation is associative and commutative, so partial
-    ledgers from parallel CI shards fold into one trajectory in any
-    merge order.
-    """
-    seen: set[tuple[int, str]] = set()
-    merged: list[RunRecord] = []
-    every = [record for group in groups for record in group]
-    for record in sorted(every, key=lambda r: (r.seq, r.record_id)):
-        key = (record.seq, record.record_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        merged.append(record)
-    return merged
 
 
 # ----------------------------------------------------------------------

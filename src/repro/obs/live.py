@@ -15,7 +15,7 @@ They read shard-local instruments and never feed anything back into the
 simulation, so a run with live telemetry on is bit-identical to the
 same run with it off, at any parallelism. Beat *emission timing* is
 wall-clock-throttled and therefore nondeterministic — which is fine,
-because beats never enter metrics, traces, manifests, or the ledger.
+because beats never enter metrics, traces, run records, or the ledger.
 
 Together with :mod:`repro.obs.profile` and :mod:`repro.obs.resources`
 this is one of the three modules allowed to read a real clock

@@ -1,10 +1,10 @@
-"""Run manifests: the provenance record written next to every traced run.
+"""Run identity hashes: the config digest and the RNG stream-manifest hash.
 
-A manifest pins everything needed to reproduce or compare a run: the
-config (and its content hash), the master seed, the RNG stream-manifest
-hash (``analysis/streams.json`` — a different hash means components
-were re-seeded, see DESIGN.md §7), the shard layout, and the run's
-counter totals. ``python -m repro obs summarize`` renders it back.
+:meth:`repro.obs.ledger.RunRecord.for_run` derives a run's identity
+from these: the content hash of the full config, and the hash of the
+committed RNG stream manifest (``analysis/streams.json`` — a different
+hash means components were re-seeded, see DESIGN.md §7).
+``config_jsonable`` is the config section of a run's ``run.json``.
 """
 
 from __future__ import annotations
@@ -19,18 +19,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.config import ExperimentConfig
 
-#: Manifest payload layout version.
-MANIFEST_SCHEMA_VERSION = 1
-
-#: File name a run directory is recognised by.
-MANIFEST_FILENAME = "manifest.json"
-
 
 def config_jsonable(config: "ExperimentConfig") -> dict[str, object]:
     """The config as a plain-JSON dict (stable field order).
 
     Round-trips through ``json`` so nested tuples (e.g. the fault
-    plan's ``server_outages``) normalise to lists — a manifest read
+    plan's ``server_outages``) normalise to lists — a config section read
     back from disk compares equal to the one that was written.
     """
     raw = json.loads(json.dumps(dataclasses.asdict(config), default=str))
@@ -44,153 +38,16 @@ def config_digest(config: "ExperimentConfig") -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def streams_manifest_path() -> Path | None:
-    """Locate ``analysis/streams.json`` (env override, then repo root).
+def streams_manifest_hash() -> str | None:
+    """sha256 of the committed RNG stream manifest, or ``None`` if absent.
 
-    Returns ``None`` when the manifest is absent (e.g. an installed
-    package outside the repository).
+    ``REPRO_STREAMS_MANIFEST`` overrides the location; otherwise the
+    manifest is ``analysis/streams.json`` at the repo root, absent for
+    an installed package outside the repository.
     """
     override = os.environ.get("REPRO_STREAMS_MANIFEST")
-    if override:
-        path = Path(override)
-        return path if path.exists() else None
-    candidate = Path(__file__).resolve().parents[3] / "analysis" / "streams.json"
-    return candidate if candidate.exists() else None
-
-
-def streams_manifest_hash() -> str | None:
-    """sha256 of the committed RNG stream manifest, or ``None`` if absent."""
-    path = streams_manifest_path()
-    if path is None:
+    path = (Path(override) if override else
+            Path(__file__).resolve().parents[3] / "analysis" / "streams.json")
+    if not path.exists():
         return None
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Provenance record of one :meth:`repro.runner.Runner.run` call."""
-
-    system: str
-    seed: int
-    config_hash: str
-    n_shards: int
-    parallelism: int
-    trace_enabled: bool
-    elapsed_s: float
-    counter_totals: dict[str, float] = dataclasses.field(default_factory=dict)
-    rng_stream_manifest_hash: str | None = None
-    #: sha256 of the fault plan (``FaultPlan.digest()``); ``None`` for a
-    #: fault-free run. Two runs are comparable exactly when their
-    #: (config_hash, seed, fault_plan_hash) triples agree.
-    fault_plan_hash: str | None = None
-    #: Shard execution backend ("event" or "batched").
-    backend: str = "event"
-    #: ``ToleranceContract.digest()`` under which a batched run claims
-    #: equivalence to the event engine; ``None`` for event runs.
-    equivalence_contract_hash: str | None = None
-    config: dict[str, object] = dataclasses.field(default_factory=dict)
-    schema_version: int = MANIFEST_SCHEMA_VERSION
-
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form with sorted counter names."""
-        return {
-            "schema_version": self.schema_version,
-            "system": self.system,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "n_shards": self.n_shards,
-            "parallelism": self.parallelism,
-            "trace_enabled": self.trace_enabled,
-            "elapsed_s": self.elapsed_s,
-            "rng_stream_manifest_hash": self.rng_stream_manifest_hash,
-            "fault_plan_hash": self.fault_plan_hash,
-            "backend": self.backend,
-            "equivalence_contract_hash": self.equivalence_contract_hash,
-            "counter_totals": {name: self.counter_totals[name]
-                               for name in sorted(self.counter_totals)},
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "RunManifest":
-        """Inverse of :meth:`to_jsonable` (tolerant of missing keys)."""
-        def _i(key: str, default: int = 0) -> int:
-            value = payload.get(key, default)
-            return value if isinstance(value, int) else default
-
-        def _f(key: str) -> float:
-            value = payload.get(key, 0.0)
-            return float(value) if isinstance(value, (int, float)) else 0.0
-
-        totals_raw = payload.get("counter_totals", {})
-        totals = ({str(k): float(v) for k, v in totals_raw.items()}
-                  if isinstance(totals_raw, dict) else {})
-        config_raw = payload.get("config", {})
-        streams_raw = payload.get("rng_stream_manifest_hash")
-        faults_raw = payload.get("fault_plan_hash")
-        backend_raw = payload.get("backend")
-        contract_raw = payload.get("equivalence_contract_hash")
-        return cls(
-            system=str(payload.get("system", "")),
-            seed=_i("seed"),
-            config_hash=str(payload.get("config_hash", "")),
-            n_shards=_i("n_shards"),
-            parallelism=_i("parallelism"),
-            trace_enabled=bool(payload.get("trace_enabled", False)),
-            elapsed_s=_f("elapsed_s"),
-            counter_totals=totals,
-            rng_stream_manifest_hash=(str(streams_raw)
-                                      if isinstance(streams_raw, str)
-                                      else None),
-            fault_plan_hash=(str(faults_raw)
-                             if isinstance(faults_raw, str) else None),
-            backend=(str(backend_raw)
-                     if isinstance(backend_raw, str) else "event"),
-            equivalence_contract_hash=(str(contract_raw)
-                                       if isinstance(contract_raw, str)
-                                       else None),
-            config=dict(config_raw) if isinstance(config_raw, dict) else {},
-            schema_version=_i("schema_version", MANIFEST_SCHEMA_VERSION),
-        )
-
-    def write(self, path: str | Path) -> None:
-        """Write the manifest as pretty JSON to ``path``."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.to_jsonable(), indent=2,
-                                     sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-    @classmethod
-    def read(cls, path: str | Path) -> "RunManifest":
-        """Load a manifest written by :meth:`write`."""
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{path}: manifest is not a JSON object")
-        return cls.from_jsonable(loaded)
-
-
-def build_manifest(config: "ExperimentConfig", *, system: str,
-                   n_shards: int, parallelism: int, trace_enabled: bool,
-                   elapsed_s: float,
-                   counter_totals: dict[str, float] | None = None,
-                   backend: str = "event",
-                   equivalence_contract_hash: str | None = None
-                   ) -> RunManifest:
-    """Assemble the manifest for one completed run."""
-    return RunManifest(
-        system=system,
-        seed=config.seed,
-        config_hash=config_digest(config),
-        n_shards=n_shards,
-        parallelism=parallelism,
-        trace_enabled=trace_enabled,
-        elapsed_s=elapsed_s,
-        counter_totals=dict(counter_totals or {}),
-        rng_stream_manifest_hash=streams_manifest_hash(),
-        fault_plan_hash=(config.faults.digest()
-                         if not config.faults.is_empty else None),
-        backend=backend,
-        equivalence_contract_hash=equivalence_contract_hash,
-        config=config_jsonable(config),
-    )

@@ -28,6 +28,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Mapping
+
+from .fields import check_object
 
 #: Instrument names: ``component.event`` (two or more lowercase segments).
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
@@ -156,26 +159,16 @@ class HistogramSnapshot:
         }
 
     @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "HistogramSnapshot":
-        """Inverse of :meth:`to_jsonable`."""
-        raw_counts = payload.get("counts", [])
-        counts = ([int(c) for c in raw_counts]
-                  if isinstance(raw_counts, list) else [])
-        counts += [0] * (N_BINS - len(counts))
-        raw_total = payload.get("total", 0.0)
-        raw_count = payload.get("count", 0)
-        raw_min = payload.get("min")
-        raw_max = payload.get("max")
-        return cls(
-            counts=tuple(counts[:N_BINS]),
-            total=float(raw_total) if isinstance(raw_total,
-                                                 (int, float)) else 0.0,
-            count=int(raw_count) if isinstance(raw_count, int) else 0,
-            min_value=float(raw_min) if isinstance(raw_min,
-                                                   (int, float)) else None,
-            max_value=float(raw_max) if isinstance(raw_max,
-                                                   (int, float)) else None,
-        )
+    def from_jsonable(cls, payload: Mapping[str, object]) -> "HistogramSnapshot":
+        """Inverse of :meth:`to_jsonable` (strict; see :mod:`.fields`)."""
+        raw = check_object(payload, {"counts": "[int]", "total": "number",
+                                     "count": "int", "min": "number?",
+                                     "max": "number?"})
+        if len(raw["counts"]) != N_BINS:
+            raise ValueError(f"key 'counts' must hold {N_BINS} bins")
+        return cls(counts=tuple(raw["counts"]), total=raw["total"],
+                   count=raw["count"], min_value=raw["min"],
+                   max_value=raw["max"])
 
 
 def _opt_min(a: float | None, b: float | None) -> float | None:
@@ -238,22 +231,19 @@ class MetricsSnapshot:
         }
 
     @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "MetricsSnapshot":
-        """Inverse of :meth:`to_jsonable`."""
-        counters_raw = payload.get("counters", {})
-        gauges_raw = payload.get("gauges", {})
-        hists_raw = payload.get("histograms", {})
-        counters: dict[str, float] = {}
-        if isinstance(counters_raw, dict):
-            counters = {str(k): float(v) for k, v in counters_raw.items()}
-        gauges: dict[str, float] = {}
-        if isinstance(gauges_raw, dict):
-            gauges = {str(k): float(v) for k, v in gauges_raw.items()}
+    def from_jsonable(cls, payload: Mapping[str, object]) -> "MetricsSnapshot":
+        """Inverse of :meth:`to_jsonable` (strict; see :mod:`.fields`)."""
+        raw = check_object(payload, {"counters": "{number}",
+                                     "gauges": "{number}",
+                                     "histograms": "{object}"})
         histograms: dict[str, HistogramSnapshot] = {}
-        if isinstance(hists_raw, dict):
-            histograms = {str(k): HistogramSnapshot.from_jsonable(dict(v))
-                          for k, v in hists_raw.items()}
-        return cls(counters=counters, gauges=gauges, histograms=histograms)
+        for name, entry in raw["histograms"].items():
+            try:
+                histograms[name] = HistogramSnapshot.from_jsonable(entry)
+            except ValueError as exc:
+                raise ValueError(f"histogram {name!r}: {exc}") from None
+        return cls(counters=raw["counters"], gauges=raw["gauges"],
+                   histograms=histograms)
 
 
 class MetricsRegistry:

@@ -9,8 +9,8 @@ simulated quantities, so they are free to vary run to run while the
 simulation output stays bit-for-bit stable.
 
 :class:`PhaseStats` values are mergeable (associative ``merge``), so
-per-shard wall-clock measurements fold into a per-run profile exactly
-like metric snapshots do.
+repeated measurements of one phase fold into one entry of the run's
+:class:`RunProfile`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
+
+from .fields import check_object
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +62,11 @@ class PhaseStats:
                 "min_s": self.min_s, "max_s": self.max_s}
 
     @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "PhaseStats":
-        """Inverse of :meth:`to_jsonable`."""
-        def _f(key: str) -> float:
-            value = payload.get(key, 0.0)
-            return float(value) if isinstance(value, (int, float)) else 0.0
-        raw_calls = payload.get("calls", 0)
-        calls = raw_calls if isinstance(raw_calls, int) else 0
-        return cls(calls=calls, total_s=_f("total_s"),
-                   min_s=_f("min_s"), max_s=_f("max_s"))
+    def from_jsonable(cls, payload: Mapping[str, object]) -> "PhaseStats":
+        """Inverse of :meth:`to_jsonable` (strict; see :mod:`.fields`)."""
+        return cls(**check_object(payload, {
+            "calls": "int", "total_s": "number", "min_s": "number",
+            "max_s": "number"}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,32 +75,20 @@ class RunProfile:
 
     phases: dict[str, PhaseStats] = field(default_factory=dict)
 
-    def merge(self, other: "RunProfile") -> "RunProfile":
-        """Associative key-wise combination (sorted keys)."""
-        empty = PhaseStats()
-        return RunProfile(phases={
-            name: self.phases.get(name, empty).merge(
-                other.phases.get(name, empty))
-            for name in sorted(set(self.phases) | set(other.phases))
-        })
-
-    @property
-    def total_s(self) -> float:
-        """Sum of all phase totals (phases may overlap; see docstring)."""
-        return sum(stats.total_s for stats in self.phases.values())
-
     def to_jsonable(self) -> dict[str, object]:
         """Plain-JSON form with sorted phase names."""
         return {name: self.phases[name].to_jsonable()
                 for name in sorted(self.phases)}
 
     @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "RunProfile":
-        """Inverse of :meth:`to_jsonable`."""
+    def from_jsonable(cls, payload: Mapping[str, object]) -> "RunProfile":
+        """Inverse of :meth:`to_jsonable` (strict; see :mod:`.fields`)."""
         phases: dict[str, PhaseStats] = {}
-        for name, stats in payload.items():
-            if isinstance(stats, dict):
-                phases[str(name)] = PhaseStats.from_jsonable(stats)
+        for name, raw in payload.items():
+            try:
+                phases[name] = PhaseStats.from_jsonable(raw)
+            except ValueError as exc:
+                raise ValueError(f"phase {name!r}: {exc}") from None
         return cls(phases=phases)
 
 

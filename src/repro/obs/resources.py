@@ -1,13 +1,11 @@
 """Process resource telemetry: peak RSS, CPU time, throughput rates.
 
-The run ledger (:mod:`repro.obs.ledger`) records *how much hardware* a
-run consumed next to *what the run computed*. Everything in this module
-is timing-bearing by nature — peak resident set size via
+A run's ``run.json`` (:mod:`repro.obs.summarize`) records *how much
+hardware* the run consumed next to *what it computed*. Everything in
+this module is timing-bearing by nature — peak resident set size via
 ``resource.getrusage``, cumulative CPU seconds via
-``time.process_time`` — so telemetry never enters the deterministic
-side of a ledger record; it rides the gitignored timings sibling (the
-same split as the committed ``.txt`` vs gitignored ``.json`` benchmark
-artifacts).
+``time.process_time`` — so telemetry never enters a ledger record,
+which must stay a pure function of (code, config, seed).
 
 Together with :mod:`repro.obs.profile` this is the only
 :mod:`repro.obs` module allowed to read a clock (repro-lint RPR001
@@ -100,11 +98,10 @@ class ResourceTelemetry:
     def from_jsonable(cls, payload: dict[str, object]) -> "ResourceTelemetry":
         """Inverse of :meth:`to_jsonable` (derived rates recomputed).
 
-        Missing keys keep their defaults (old timings files stay
-        readable), but a key that is *present* with a wrong-typed value
-        raises a one-line ``ValueError`` — silently coercing malformed
-        telemetry to 0.0 made corrupt timings files indistinguishable
-        from idle runs.
+        Missing keys keep their defaults, but a key that is *present*
+        with a wrong-typed value raises a one-line ``ValueError`` —
+        silently coercing malformed telemetry to 0.0 would make a
+        corrupt payload indistinguishable from an idle run.
         """
         def _f(key: str) -> float:
             value = payload.get(key, 0.0)

@@ -112,14 +112,13 @@ def recorder() -> TraceRecorder:
 class ObsOptions:
     """What a run should emit and where.
 
-    ``out_dir`` is the parent directory; every traced ``Runner.run``
-    writes one ``run-NNN-<label>`` subdirectory under it containing
-    ``manifest.json``, ``metrics.json``, ``profile.json``,
-    ``resources.json`` and — when ``trace`` is set — ``trace.jsonl``
-    plus ``trace.chrome.json``. ``ledger`` (CLI ``--ledger PATH``)
-    additionally appends one :class:`repro.obs.ledger.RunRecord` per
-    run to that JSONL ledger, with the timing-bearing telemetry going
-    to the gitignored timings sibling. ``live`` (CLI ``--progress`` /
+    ``out_dir`` is the parent directory; every ``Runner.run`` writes
+    one ``run-NNN-<label>`` subdirectory under it holding ``run.json``
+    (:mod:`repro.obs.summarize`: run record, config, metrics, profile,
+    resources) and — when ``trace`` is set — ``trace.jsonl`` plus
+    ``trace.chrome.json``. ``ledger`` (CLI ``--ledger PATH``)
+    additionally appends the run's :class:`repro.obs.ledger.RunRecord`
+    (the same record ``run.json`` holds) to that JSONL ledger. ``live`` (CLI ``--progress`` /
     ``--beat-interval``) switches on the live telemetry plane
     (:mod:`repro.obs.live`): streamed shard heartbeats, the straggler
     watchdog, and the crash flight recorder — observation only, never

@@ -1,22 +1,29 @@
-"""Render observability artifacts back into terminal tables.
+"""A run's one artifact, ``run.json``: its schema, writer and validator.
 
-``python -m repro obs summarize <dir>`` loads the ``run-NNN-*``
-directories a traced (or metrics-enabled) command produced and prints,
-per run: the manifest header, the per-component counters (auctions
-held, ads dispatched, rescues, beacons, radio wakeups, ...), gauge
-high-water marks, histogram summaries, and the per-phase wall-clock
-profile including each shard's execution time.
+An artifact directory ``run-NNN-<label>/`` holds ``run.json`` (plus
+``trace.jsonl`` and ``trace.chrome.json`` when traced). Under the header
+``{"schema": "repro.obs.run", "version": 1}`` it states each fact once:
+``record`` (the :class:`~repro.obs.ledger.RunRecord`, exactly the row
+``--ledger`` appends, with ``seq`` 0), ``config``, ``trace_enabled``,
+``elapsed_s``, ``metrics`` (the merged snapshot), ``profile`` (wall-clock
+phases) and ``resources`` (peak RSS and CPU seconds; throughput rates
+derive from ``elapsed_s`` and the counters). :func:`load_run` is the one
+validator — every key required with its exact JSON type
+(:mod:`repro.obs.fields`), one-line :class:`SummarizeError` on any fault
+— and ``python -m repro obs summarize <dir>`` renders every section.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, TypedDict, TypeVar
 
-from .manifest import MANIFEST_FILENAME, RunManifest
+from .fields import check_object
+from .ledger import RunRecord, render_record, snapshot_digest
 from .metrics import MetricsSnapshot
 from .profile import RunProfile
+from .resources import ResourceTelemetry
 
 
 class SummarizeError(ValueError):
@@ -24,152 +31,201 @@ class SummarizeError(ValueError):
 
     The CLI turns this into a one-line stderr message (no traceback):
     artifact directories are user-supplied paths, and a corrupt
-    ``metrics.json`` should read as a diagnosis, not a crash.
+    ``run.json`` should read as a diagnosis, not a crash.
     """
 
+
 #: File names inside one run directory.
-METRICS_FILENAME = "metrics.json"
-PROFILE_FILENAME = "profile.json"
+RUN_FILENAME = "run.json"
 TRACE_FILENAME = "trace.jsonl"
 CHROME_FILENAME = "trace.chrome.json"
 
+#: Header of every ``run.json``.
+RUN_SCHEMA_NAME = "repro.obs.run"
+RUN_SCHEMA_VERSION = 1
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    """Everything loadable from one run directory."""
+#: The retired per-file layout, recognised only to reject it clearly.
+_OLD_LAYOUT_FILENAME = "manifest.json"
 
-    path: Path
-    manifest: RunManifest
-    metrics: MetricsSnapshot | None
-    profile: RunProfile | None
+_T = TypeVar("_T")
 
-    @property
-    def trace_path(self) -> Path | None:
-        """The JSONL trace, when the run recorded one."""
-        candidate = self.path / TRACE_FILENAME
-        return candidate if candidate.exists() else None
+#: The keys of a ``run.json`` → their JSON kinds (see :mod:`.fields`).
+_RUN_SCHEMA = {
+    "schema": "str", "version": "int", "record": "object",
+    "config": "object", "trace_enabled": "bool", "elapsed_s": "number",
+    "metrics": "object", "profile": "object", "resources": "object",
+}
+
+
+class RunFile(TypedDict):
+    """The sections of one ``run.json``, parsed."""
+
+    record: RunRecord
+    config: dict[str, object]
+    trace_enabled: bool
+    elapsed_s: float
+    metrics: MetricsSnapshot
+    profile: RunProfile
+    resources: ResourceTelemetry
+
+
+def write_run(run_dir: str | Path, run: RunFile) -> None:
+    """Write ``run`` as ``run_dir/run.json``."""
+    resources = run["resources"]
+    payload = {
+        "schema": RUN_SCHEMA_NAME,
+        "version": RUN_SCHEMA_VERSION,
+        "record": run["record"].to_jsonable(),
+        "config": run["config"],
+        "trace_enabled": run["trace_enabled"],
+        "elapsed_s": run["elapsed_s"],
+        "metrics": run["metrics"].to_jsonable(),
+        "profile": run["profile"].to_jsonable(),
+        "resources": {"peak_rss_bytes": resources.peak_rss_bytes,
+                      "cpu_time_s": resources.cpu_time_s},
+    }
+    path = Path(run_dir) / RUN_FILENAME
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def find_run_dirs(root: str | Path) -> list[Path]:
     """Run directories under ``root`` (or ``root`` itself), sorted.
 
-    A run directory is recognised by its ``manifest.json``.
+    A run directory is recognised by its ``run.json`` — or by the
+    retired ``manifest.json``, so :func:`load_run` can reject it with a
+    diagnosis instead of the directory being skipped silently.
     """
+    def is_run_dir(path: Path) -> bool:
+        return ((path / RUN_FILENAME).exists()
+                or (path / _OLD_LAYOUT_FILENAME).exists())
+
     base = Path(root)
-    if (base / MANIFEST_FILENAME).exists():
+    if is_run_dir(base):
         return [base]
     if not base.is_dir():
         return []
     return sorted(child for child in base.iterdir()
-                  if child.is_dir() and (child / MANIFEST_FILENAME).exists())
+                  if child.is_dir() and is_run_dir(child))
 
 
-def _load_json_object(path: Path, what: str) -> dict[str, object]:
-    """Read ``path`` as a JSON object, or raise :class:`SummarizeError`."""
-    if not path.exists():
-        raise SummarizeError(f"{path}: missing {what} file")
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        raise SummarizeError(f"{path}: empty {what} file")
+def _section(payload: dict[str, Any], name: str,
+             parse: Callable[[dict[str, Any]], _T]) -> _T:
+    """Parse one section, prefixing any fault with its name."""
     try:
-        loaded = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SummarizeError(
-            f"{path}: {what} file is not valid JSON ({exc})") from exc
-    if not isinstance(loaded, dict):
-        raise SummarizeError(
-            f"{path}: {what} file is not a JSON object "
-            f"(got {type(loaded).__name__}) — schema mismatch")
-    return loaded
+        return parse(payload[name])
+    except ValueError as exc:
+        raise ValueError(f"section {name!r}: {exc}") from None
 
 
-def load_run(path: str | Path) -> RunRecord:
-    """Load one run directory's artifacts.
+def _parse(payload: object) -> RunFile:
+    """The validated sections of a ``run.json`` payload (``ValueError``)."""
+    run = check_object(payload, _RUN_SCHEMA, RUN_FILENAME)
+    header = (run["schema"], run["version"])
+    if header != (RUN_SCHEMA_NAME, RUN_SCHEMA_VERSION):
+        raise ValueError(f"header is {header[0]!r} version {header[1]!r}, "
+                         f"expected {RUN_SCHEMA_NAME!r} version "
+                         f"{RUN_SCHEMA_VERSION} — schema mismatch")
+    record = _section(run, "record", RunRecord.from_jsonable)
+    metrics = _section(run, "metrics", MetricsSnapshot.from_jsonable)
+    resources = _section(run, "resources", lambda raw: check_object(
+        raw, {"peak_rss_bytes": "int", "cpu_time_s": "number"}))
+    if record.counter_totals != metrics.counters:
+        raise ValueError("section 'record': counter_totals disagree with "
+                         "section 'metrics'")
+    if record.metrics_digest != snapshot_digest(metrics):
+        raise ValueError("section 'record': metrics_digest does not match "
+                         "section 'metrics'")
+    counters = metrics.counters
+    return RunFile(
+        record=record, config=run["config"],
+        trace_enabled=run["trace_enabled"], elapsed_s=run["elapsed_s"],
+        metrics=metrics,
+        profile=_section(run, "profile", RunProfile.from_jsonable),
+        resources=ResourceTelemetry(
+            elapsed_s=run["elapsed_s"],
+            users_total=counters.get("throughput.users_total", 0.0),
+            events_total=counters.get("throughput.events_total", 0.0),
+            **resources))
+
+
+def load_run(path: str | Path) -> RunFile:
+    """Load and validate one run directory's ``run.json``.
 
     Raises :class:`SummarizeError` (a ``ValueError``) with a one-line
-    diagnosis when the manifest is unreadable or a present
-    ``metrics.json``/``profile.json`` is empty, malformed, or not the
-    expected schema. Absent optional artifacts simply load as ``None``.
+    diagnosis naming the file and the faulty section or key when the
+    file is missing, empty, not JSON, carries the wrong header, or any
+    section fails its schema — and for a directory that holds only the
+    retired ``manifest.json`` layout.
     """
-    base = Path(path)
-    manifest_payload = _load_json_object(base / MANIFEST_FILENAME,
-                                         "manifest")
-    manifest = RunManifest.from_jsonable(manifest_payload)
-    metrics: MetricsSnapshot | None = None
-    metrics_path = base / METRICS_FILENAME
-    if metrics_path.exists():
-        loaded = _load_json_object(metrics_path, "metrics")
-        if not ({"counters", "gauges", "histograms"} & set(loaded)):
+    file = Path(path) / RUN_FILENAME
+    if not file.exists():
+        if (file.parent / _OLD_LAYOUT_FILENAME).exists():
             raise SummarizeError(
-                f"{metrics_path}: metrics file lacks the "
-                "counters/gauges/histograms sections — schema mismatch "
-                "(was this written by repro.obs?)")
-        metrics = MetricsSnapshot.from_jsonable(loaded)
-    profile: RunProfile | None = None
-    profile_path = base / PROFILE_FILENAME
-    if profile_path.exists():
-        loaded = _load_json_object(profile_path, "profile")
-        profile = RunProfile.from_jsonable(loaded)
-    return RunRecord(path=base, manifest=manifest, metrics=metrics,
-                     profile=profile)
+                f"{file.parent}: holds the retired manifest.json layout, "
+                f"not {RUN_FILENAME} — re-run the command to regenerate it")
+        raise SummarizeError(f"{file}: missing {RUN_FILENAME}")
+    text = file.read_text(encoding="utf-8")
+    try:
+        if not text.strip():
+            raise ValueError(f"empty {RUN_FILENAME}")
+        return _parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise SummarizeError(
+            f"{file}: {RUN_FILENAME} is not valid JSON ({exc})") from None
+    except ValueError as exc:
+        raise SummarizeError(f"{file}: {exc}") from None
 
 
-def _fmt_num(value: float) -> str:
-    if float(value).is_integer():
-        return str(int(value))
-    return f"{value:.4g}"
+def render_run(path: Path, run: RunFile) -> str:
+    """One run's full terminal rendering (every section).
 
-
-def render_run(record: RunRecord) -> str:
-    """One run's full terminal rendering."""
+    The record renders as ``obs ledger show`` shows it — identity,
+    counter totals, result metrics — so the snapshot adds only its
+    gauges and histograms.
+    """
     # Imported lazily: repro.metrics pulls simulator modules that
     # themselves import repro.obs at module load.
     from repro.metrics.summary import format_table
 
-    manifest = record.manifest
-    sections: list[str] = []
-    streams = manifest.rng_stream_manifest_hash
-    sections.append(
-        f"## {record.path.name}\n"
-        f"system={manifest.system} seed={manifest.seed} "
-        f"shards={manifest.n_shards} parallelism={manifest.parallelism} "
-        f"trace={'on' if manifest.trace_enabled else 'off'} "
-        f"elapsed={manifest.elapsed_s:.2f}s\n"
-        f"config_hash={manifest.config_hash[:16]} "
-        f"streams_hash={streams[:16] if streams else 'n/a'}")
-    if record.metrics is not None:
-        snapshot = record.metrics
-        if snapshot.counters:
-            sections.append(format_table(
-                ["counter", "total"],
-                [(name, _fmt_num(value))
-                 for name, value in sorted(snapshot.counters.items())],
-                title="counters (component.event)"))
-        if snapshot.gauges:
-            sections.append(format_table(
-                ["gauge", "high-water"],
-                [(name, _fmt_num(value))
-                 for name, value in sorted(snapshot.gauges.items())],
-                title="gauges"))
-        if snapshot.histograms:
-            sections.append(format_table(
-                ["histogram", "count", "mean", "min", "max"],
-                [(name, str(h.count), f"{h.mean:.4g}",
-                  "-" if h.min_value is None else f"{h.min_value:.4g}",
-                  "-" if h.max_value is None else f"{h.max_value:.4g}")
-                 for name, h in sorted(snapshot.histograms.items())],
-                title="histograms (fixed log-scale bins)"))
-    if record.profile is not None and record.profile.phases:
-        rows = []
-        for name, stats in sorted(record.profile.phases.items()):
-            rows.append((name, str(stats.calls), f"{stats.total_s:.3f}s",
-                         f"{stats.mean_s:.3f}s", f"{stats.max_s:.3f}s"))
+    resources, snapshot = run["resources"], run["metrics"]
+    sections = [
+        f"## {path.name}\n"
+        f"trace={'on' if run['trace_enabled'] else 'off'} "
+        f"elapsed={run['elapsed_s']:.2f}s "
+        f"peak_rss={resources.peak_rss_bytes / 2**20:.1f}MiB "
+        f"cpu={resources.cpu_time_s:.2f}s "
+        f"users/s={resources.users_per_sec:.4g} "
+        f"events/s={resources.events_per_sec:.4g}",
+        render_record(run["record"]),
+        "config:\n" + "\n".join(
+            f"  {name} = {json.dumps(value, sort_keys=True)}"
+            for name, value in sorted(run["config"].items()))]
+    if snapshot.gauges:
+        sections.append(format_table(
+            ["gauge", "high-water"],
+            [(name, f"{value:.4g}")
+             for name, value in sorted(snapshot.gauges.items())],
+            title="gauges"))
+    if snapshot.histograms:
+        sections.append(format_table(
+            ["histogram", "count", "mean", "min", "max"],
+            [(name, str(h.count), f"{h.mean:.4g}",
+              "-" if h.min_value is None else f"{h.min_value:.4g}",
+              "-" if h.max_value is None else f"{h.max_value:.4g}")
+             for name, h in sorted(snapshot.histograms.items())],
+            title="histograms (fixed log-scale bins)"))
+    if run["profile"].phases:
         sections.append(format_table(
             ["phase", "calls", "total", "mean", "max"],
-            rows, title="wall-clock profile"))
-    if record.trace_path is not None:
-        sections.append(f"trace: {record.trace_path} "
-                        f"(Chrome export: {record.path / CHROME_FILENAME})")
+            [(name, str(stats.calls), f"{stats.total_s:.3f}s",
+              f"{stats.mean_s:.3f}s", f"{stats.max_s:.3f}s")
+             for name, stats in sorted(run["profile"].phases.items())],
+            title="wall-clock profile"))
+    if run["trace_enabled"]:
+        sections.append(f"trace: {path / TRACE_FILENAME} "
+                        f"(Chrome export: {path / CHROME_FILENAME})")
     return "\n\n".join(sections)
 
 
@@ -178,5 +234,5 @@ def summarize(root: str | Path) -> str:
     runs = find_run_dirs(root)
     if not runs:
         return (f"no run directories under {root} "
-                f"(expected {MANIFEST_FILENAME} files)")
-    return "\n\n".join(render_run(load_run(path)) for path in runs)
+                f"(expected {RUN_FILENAME} files)")
+    return "\n\n".join(render_run(path, load_run(path)) for path in runs)

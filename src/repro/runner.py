@@ -76,15 +76,14 @@ from repro.metrics.outcomes import (
     compare,
 )
 from repro.obs.flightrec import RingRecorder, capture_shard_crash
-from repro.obs.ledger import Ledger, snapshot_digest
-from repro.obs.ledger import RunRecord as LedgerRecord
+from repro.obs.ledger import Ledger, RunRecord, snapshot_digest
 from repro.obs.live import (
     BeatEmitter,
     LiveOptions,
     LivePlane,
     WorkerLiveSetup,
 )
-from repro.obs.manifest import RunManifest, build_manifest
+from repro.obs.manifest import config_jsonable
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.profile import PhaseProfiler, RunProfile
 from repro.obs.resources import ResourceTelemetry, collect_telemetry
@@ -95,6 +94,12 @@ from repro.obs.runtime import (
     default_obs_options,
     next_run_dir,
 )
+from repro.obs.summarize import (
+    CHROME_FILENAME,
+    TRACE_FILENAME,
+    RunFile,
+    write_run,
+)
 from repro.obs.trace import (
     NULL_RECORDER,
     MemoryRecorder,
@@ -102,11 +107,7 @@ from repro.obs.trace import (
     write_chrome,
     write_jsonl,
 )
-from repro.sim.batched import (
-    DEFAULT_CONTRACT,
-    prefetch_metrics,
-    realtime_metrics,
-)
+from repro.sim.batched import prefetch_metrics, realtime_metrics
 from repro.traces.stats import epoch_slot_counts
 from repro.workloads.appstore import TOP15, AppProfile
 
@@ -472,29 +473,58 @@ def _merge_realtime(results: Sequence[ShardResult]) -> RealtimeOutcome:
 # ----------------------------------------------------------------------
 
 
+def _result_metrics(prefetch: PrefetchOutcome | None,
+                    realtime: RealtimeOutcome | None,
+                    comparison: Comparison | None) -> dict[str, float]:
+    """A run's flat, contract-addressable result metrics.
+
+    The same flattening the batched-backend equivalence check uses
+    (:func:`repro.sim.batched.prefetch_metrics` /
+    :func:`~repro.sim.batched.realtime_metrics`), plus the headline
+    comparison ratios — the ``metrics`` map of the run's record.
+    """
+    flat: dict[str, float] = {}
+    if prefetch is not None:
+        flat.update(prefetch_metrics(prefetch))
+    if realtime is not None:
+        flat.update(realtime_metrics(realtime))
+    if comparison is not None:
+        flat.update({
+            "headline.energy_savings": comparison.energy_savings,
+            "headline.revenue_loss": comparison.revenue_loss,
+            "headline.sla_violation_rate": comparison.sla_violation_rate,
+            "headline.wakeup_reduction": comparison.wakeup_reduction,
+        })
+    return flat
+
+
 @dataclass(frozen=True, slots=True)
 class RunResult:
     """Merged outcome of one :meth:`Runner.run` call.
 
-    The observability fields (``metrics``, ``profile``, ``manifest``,
-    ``trace_events``) are carried alongside the simulation outcomes and
-    never feed back into them: a traced run's ``comparison`` is
-    bit-for-bit identical to an untraced one. ``postmortems`` lists any
-    flight-recorder files the live plane wrote during the run (stall
-    episodes that later recovered still leave their postmortem behind,
-    so the episode is inspectable after the fact).
+    ``record`` is the run's :class:`~repro.obs.ledger.RunRecord`: its
+    identity, counter totals and flat result metrics, exactly the row
+    ``ObsOptions.ledger`` appends (with ``seq`` 0) and the ``record``
+    section of the run's ``run.json``. The observability fields
+    (``metrics``, ``profile``, ``resources``, ``trace_events``) are
+    carried alongside the simulation outcomes and never feed back into
+    them: a traced run's ``comparison`` is bit-for-bit identical to an
+    untraced one. ``postmortems`` lists any flight-recorder files the
+    live plane wrote during the run (stall episodes that later recovered
+    still leave their postmortem behind, so the episode is inspectable
+    after the fact).
     """
 
     system: str
     n_shards: int
     parallelism: int
     elapsed_s: float
+    record: RunRecord
     prefetch: PrefetchOutcome | None = None
     realtime: RealtimeOutcome | None = None
     comparison: Comparison | None = None
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     profile: RunProfile = field(default_factory=RunProfile)
-    manifest: RunManifest | None = None
     trace_events: tuple[TraceEvent, ...] = ()
     artifacts_dir: Path | None = None
     resources: ResourceTelemetry = field(default_factory=ResourceTelemetry)
@@ -508,27 +538,11 @@ class RunResult:
     def result_metrics(self) -> dict[str, float]:
         """The run's flat, contract-addressable result metrics.
 
-        The same flattening the batched-backend equivalence check uses
-        (:func:`repro.sim.batched.prefetch_metrics` /
-        :func:`~repro.sim.batched.realtime_metrics`), plus the headline
-        comparison ratios — this is what lands in a ledger record's
-        ``metrics`` map.
+        The ``metrics`` map of :attr:`record`: the flattening the
+        batched-backend equivalence check uses plus the headline
+        comparison ratios.
         """
-        flat: dict[str, float] = {}
-        if self.prefetch is not None:
-            flat.update(prefetch_metrics(self.prefetch))
-        if self.realtime is not None:
-            flat.update(realtime_metrics(self.realtime))
-        if self.comparison is not None:
-            flat.update({
-                "headline.energy_savings": self.comparison.energy_savings,
-                "headline.revenue_loss": self.comparison.revenue_loss,
-                "headline.sla_violation_rate":
-                    self.comparison.sla_violation_rate,
-                "headline.wakeup_reduction":
-                    self.comparison.wakeup_reduction,
-            })
-        return flat
+        return dict(self.record.metrics)
 
     @property
     def value(self) -> Comparison | PrefetchOutcome | RealtimeOutcome | None:
@@ -739,43 +753,46 @@ class Runner:
                 for shard in results:
                     events.extend(shard.events or [])
         elapsed_s = time.perf_counter() - started
-        manifest = build_manifest(
+        record = RunRecord.for_run(
             self.config, system=system, n_shards=len(jobs),
-            parallelism=self.parallelism, trace_enabled=trace,
-            elapsed_s=elapsed_s, counter_totals=metrics.counters,
-            backend=self.backend,
-            equivalence_contract_hash=(DEFAULT_CONTRACT.digest()
-                                       if self.backend == "batched"
-                                       else None))
+            parallelism=self.parallelism, backend=self.backend,
+            counter_totals=metrics.counters,
+            metrics=_result_metrics(prefetch, realtime, comparison),
+            metrics_digest=snapshot_digest(metrics))
         profile = profiler.snapshot()
         resources = collect_telemetry(
             elapsed_s=elapsed_s,
             users_total=metrics.counters.get("throughput.users_total", 0.0),
             events_total=metrics.counters.get("throughput.events_total", 0.0))
-        artifacts_dir = self._write_artifacts(
-            options, result_system=system, manifest=manifest,
-            metrics=metrics, profile=profile, events=events, trace=trace,
-            resources=resources)
-        result = RunResult(
+        artifacts_dir: Path | None = None
+        if options is not None and options.out_dir is not None:
+            artifacts_dir = next_run_dir(options, system)
+            write_run(artifacts_dir, RunFile(
+                record=record, config=config_jsonable(self.config),
+                trace_enabled=trace, elapsed_s=elapsed_s, metrics=metrics,
+                profile=profile, resources=resources))
+            if trace:
+                write_jsonl(events, artifacts_dir / TRACE_FILENAME)
+                write_chrome(events, artifacts_dir / CHROME_FILENAME)
+        if options is not None and options.ledger is not None:
+            Ledger(options.ledger).append(record)
+        return RunResult(
             system=system,
             n_shards=len(jobs),
             parallelism=self.parallelism,
             elapsed_s=elapsed_s,
+            record=record,
             prefetch=prefetch,
             realtime=realtime,
             comparison=comparison,
             metrics=metrics,
             profile=profile,
-            manifest=manifest,
             trace_events=tuple(events),
             artifacts_dir=artifacts_dir,
             resources=resources,
             postmortems=postmortems,
             dist=dist_stats,
         )
-        if options is not None and options.ledger is not None:
-            self._append_ledger(options.ledger, result, metrics)
-        return result
 
     @staticmethod
     def _with_postmortem_dir(live: LiveOptions,
@@ -787,46 +804,3 @@ class Runner:
             return live
         return replace(
             live, postmortem_dir=Path(options.out_dir) / "postmortems")
-
-    def _append_ledger(self, ledger_path: Path, result: RunResult,
-                       metrics: MetricsSnapshot) -> None:
-        """Append this run to the ledger at ``ledger_path``.
-
-        The committed record carries only deterministic fields (identity
-        + counter totals + result metrics + snapshot digest); the
-        resource telemetry rides in the gitignored timings sibling.
-        """
-        assert result.manifest is not None
-        record = LedgerRecord.from_manifest(
-            result.manifest,
-            metrics=result.result_metrics(),
-            metrics_digest=snapshot_digest(metrics))
-        Ledger(ledger_path).append(record, telemetry=result.resources)
-
-    def _write_artifacts(self, options: ObsOptions | None, *,
-                         result_system: str, manifest: RunManifest,
-                         metrics: MetricsSnapshot, profile: RunProfile,
-                         events: Sequence[TraceEvent],
-                         trace: bool,
-                         resources: ResourceTelemetry) -> Path | None:
-        """Write one ``run-NNN-<label>`` artifact directory, if requested."""
-        if options is None or options.out_dir is None:
-            return None
-        import json
-
-        run_dir = next_run_dir(options, result_system)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        manifest.write(run_dir / "manifest.json")
-        (run_dir / "metrics.json").write_text(
-            json.dumps(metrics.to_jsonable(), indent=2, sort_keys=True)
-            + "\n", encoding="utf-8")
-        (run_dir / "profile.json").write_text(
-            json.dumps(profile.to_jsonable(), indent=2, sort_keys=True)
-            + "\n", encoding="utf-8")
-        (run_dir / "resources.json").write_text(
-            json.dumps(resources.to_jsonable(), indent=2, sort_keys=True)
-            + "\n", encoding="utf-8")
-        if trace:
-            write_jsonl(events, run_dir / "trace.jsonl")
-            write_chrome(events, run_dir / "trace.chrome.json")
-        return run_dir

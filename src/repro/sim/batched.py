@@ -27,10 +27,10 @@ draw-for-draw: the same RNG streams are consumed in the same order, so
 sales, schedules, and fault decisions are identical, and the energy
 arithmetic applies the exact scalar formulas elementwise. In practice
 the backends are bit-identical; :data:`DEFAULT_CONTRACT` is the formal
-per-metric bound CI enforces (and whose parameters are hashed into the
-:class:`~repro.obs.manifest.RunManifest`), so any future batched
-optimisation that trades exactness for speed must widen the contract
-visibly. See DESIGN.md §10.
+per-metric bound CI enforces (and whose parameters are hashed into
+every batched run's :class:`~repro.obs.ledger.RunRecord`), so any
+future batched optimisation that trades exactness for speed must widen
+the contract visibly. See DESIGN.md §10.
 
 This module is a shard entry point for ``repro-lint``'s
 interprocedural pass: everything reachable from it must satisfy the
@@ -804,7 +804,7 @@ FLOAT_SUM = MetricTolerance(rel_tol=1e-9)
 class ToleranceContract:
     """The documented per-metric equivalence bound between backends.
 
-    ``digest()`` is recorded in the run manifest of every batched run,
+    ``digest()`` is recorded in the run record of every batched run,
     so two artifact directories are comparable exactly when their
     contract hashes agree. Metrics not named here must match exactly.
     """

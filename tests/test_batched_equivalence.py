@@ -278,11 +278,11 @@ def test_contract_digest_is_pinned_in_batched_manifests(tiny_config,
                      world=tiny_world).run("realtime")
     event = Runner(tiny_config, backend="event",
                    world=tiny_world).run("realtime")
-    assert batched.manifest.backend == "batched"
-    assert batched.manifest.equivalence_contract_hash == \
+    assert batched.record.backend == "batched"
+    assert batched.record.equivalence_contract_hash == \
         DEFAULT_CONTRACT.digest()
-    assert event.manifest.backend == "event"
-    assert event.manifest.equivalence_contract_hash is None
+    assert event.record.backend == "event"
+    assert event.record.equivalence_contract_hash is None
 
 
 def test_contract_detects_out_of_tolerance_metrics():

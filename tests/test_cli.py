@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -100,8 +102,7 @@ def test_headline_with_trace_writes_artifacts(tmp_path, capsys):
     run_dirs = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert len(run_dirs) == 1
     names = {p.name for p in run_dirs[0].iterdir()}
-    assert {"manifest.json", "metrics.json", "profile.json",
-            "trace.jsonl", "trace.chrome.json"} <= names
+    assert names == {"run.json", "trace.jsonl", "trace.chrome.json"}
 
     assert main(["obs", "validate",
                  str(run_dirs[0] / "trace.jsonl")]) == 0
@@ -127,7 +128,9 @@ def test_cli_options_do_not_leak_between_calls(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "run artifacts:" not in out
     assert "x 1 worker(s)" in out
-    assert len(list(tmp_path.iterdir())) == 1
+    (run_dir,) = tmp_path.iterdir()
+    # An untraced run directory holds its one run.json and nothing else.
+    assert [p.name for p in run_dir.iterdir()] == ["run.json"]
     assert default_exec_options() == ExecOptions()
 
 
@@ -174,40 +177,72 @@ def test_summarize_missing_path_is_one_line_error(tmp_path, capsys):
     assert "no such file" in err
 
 
-def test_summarize_empty_metrics_file_is_one_line_error(tmp_path, capsys):
-    run_dir = tmp_path / "run-000-headline"
-    run_dir.mkdir()
-    (run_dir / "manifest.json").write_text("{}")
-    (run_dir / "metrics.json").write_text("")
-    code = main(["obs", "summarize", str(run_dir)])
-    assert code == 1
+def _run_json(tmp_path, capsys):
+    """A valid ``run.json`` payload from one real run, plus its dir."""
+    assert main(["headline", "--users", "12", "--days", "6",
+                 "--train-days", "3", "--seed", "15",
+                 "--metrics-out", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    return run_dir, json.loads((run_dir / "run.json").read_text())
+
+
+def _summarize_error(run_dir, capsys):
+    """Run ``obs summarize`` expecting a one-line error; return it."""
+    assert main(["obs", "summarize", str(run_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "empty metrics file" in err
+    assert err.count("\n") == 1
+    return err
+
+
+def test_summarize_empty_metrics_file_is_one_line_error(tmp_path, capsys):
+    run_dir, payload = _run_json(tmp_path, capsys)
+    (run_dir / "run.json").write_text("")
+    assert "empty run.json" in _summarize_error(run_dir, capsys)
+    payload["metrics"] = {}
+    (run_dir / "run.json").write_text(json.dumps(payload))
+    err = _summarize_error(run_dir, capsys)
+    assert "section 'metrics'" in err and "missing key 'counters'" in err
 
 
 def test_summarize_schema_mismatch_is_one_line_error(tmp_path, capsys):
-    run_dir = tmp_path / "run-000-headline"
-    run_dir.mkdir()
+    run_dir, payload = _run_json(tmp_path, capsys)
+    faults = [
+        ({"schema": "repro.obs.trace"}, "schema mismatch"),
+        ({"version": 2}, "schema mismatch"),
+        ({"resources": None}, "key 'resources' must be an object"),
+        ({"resources": {"cpu_time_s": 1.0}},
+         "section 'resources': missing key 'peak_rss_bytes'"),
+        ({"elapsed_s": "1.5"}, "key 'elapsed_s' must be a number"),
+        ({"record": {**payload["record"], "seed": "7"}},
+         "section 'record': key 'seed' must be an integer"),
+        ({"profile": {"merge": {"calls": 1}}}, "phase 'merge'"),
+        ({"metrics": {**payload["metrics"], "counters": {"a.b": 1}}},
+         "counter_totals disagree"),
+    ]
+    for change, needle in faults:
+        (run_dir / "run.json").write_text(json.dumps({**payload, **change}))
+        assert needle in _summarize_error(run_dir, capsys), change
+    broken = dict(payload)
+    del broken["config"]
+    (run_dir / "run.json").write_text(json.dumps(broken))
+    assert "missing key 'config'" in _summarize_error(run_dir, capsys)
+    (run_dir / "run.json").write_text("[1, 2]")
+    assert "run.json must be an object" in _summarize_error(run_dir, capsys)
+    # The retired one-file-per-section layout is rejected, not skipped.
+    (run_dir / "run.json").unlink()
     (run_dir / "manifest.json").write_text("{}")
-    (run_dir / "metrics.json").write_text('{"unexpected": 1}')
-    code = main(["obs", "summarize", str(run_dir)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "schema mismatch" in err
+    assert "retired manifest.json" in _summarize_error(
+        tmp_path / "runs", capsys)
 
 
 def test_summarize_invalid_manifest_json_is_one_line_error(tmp_path,
                                                            capsys):
     run_dir = tmp_path / "run-000-headline"
     run_dir.mkdir()
-    (run_dir / "manifest.json").write_text("{broken")
-    code = main(["obs", "summarize", str(run_dir)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "not valid JSON" in err
+    (run_dir / "run.json").write_text("{broken")
+    assert "not valid JSON" in _summarize_error(run_dir, capsys)
 
 
 # ---------------------------------------------------------------------

@@ -89,14 +89,24 @@ def test_dist_is_bit_identical_to_serial_pool(tiny_config, tiny_world,
                    result.metrics.counters)
 
 
+def _assert_postmortems_under(result, tmp_path):
+    """Lost-worker postmortems land in the test's tmp dir, never in
+    the checkout."""
+    assert result.postmortems
+    assert all(p.is_file() and p.is_relative_to(tmp_path)
+               for p in result.postmortems)
+
+
 def test_chaos_kills_requeue_and_stay_bit_identical(
-        tiny_config, tiny_world, serial_baseline):
+        tiny_config, tiny_world, serial_baseline, tmp_path):
     """Every shard's worker dies once after computing the result; the
     coordinator re-dispatches each shard and the merged run must not
     move by a single bit."""
     chaos = CoordinatorChaos(seed=11, kill_prob=1.0)
     result = Runner(tiny_config, parallelism=2, shards=3,
-                    world=tiny_world, chaos=chaos).run("headline")
+                    world=tiny_world, chaos=chaos,
+                    obs=ObsOptions(live=_dist_live(tmp_path))
+                    ).run("headline")
     assert snapshot_digest(result.metrics) == snapshot_digest(
         serial_baseline.metrics)
     assert result.comparison == serial_baseline.comparison
@@ -107,7 +117,7 @@ def test_chaos_kills_requeue_and_stay_bit_identical(
     # Each killed worker's shard left a `lost` postmortem behind.
     lost = [p for p in result.postmortems if p.name.endswith("-lost.json")]
     assert lost, "worker loss must write lost postmortems"
-    assert all(p.is_file() for p in result.postmortems)
+    _assert_postmortems_under(result, tmp_path)
 
 
 def test_chaos_duplicates_are_discarded_by_shard_index(
@@ -149,13 +159,15 @@ def test_traced_duplicates_larger_than_a_pipe_buffer_do_not_deadlock(
 
 
 def test_chaos_plan_runs_through_coordinator_at_one_worker(
-        tiny_config, tiny_world, serial_baseline):
+        tiny_config, tiny_world, serial_baseline, tmp_path):
     """A chaos plan is never silently dropped: even at parallelism=1 the
     run goes through the coordinator (a kill needs a separate process),
     the kills bite, and the merge still equals the plain serial run."""
     chaos = CoordinatorChaos(seed=11, kill_prob=1.0)
     result = Runner(tiny_config, parallelism=1, shards=3,
-                    world=tiny_world, chaos=chaos).run("headline")
+                    world=tiny_world, chaos=chaos,
+                    obs=ObsOptions(live=_dist_live(tmp_path))
+                    ).run("headline")
     assert snapshot_digest(result.metrics) == snapshot_digest(
         serial_baseline.metrics)
     assert result.comparison == serial_baseline.comparison
@@ -166,6 +178,7 @@ def test_chaos_plan_runs_through_coordinator_at_one_worker(
     assert stats.workers == 1
     assert stats.workers_lost >= 1
     assert serial_baseline.dist is None     # the plain run stayed in-process
+    _assert_postmortems_under(result, tmp_path)
 
 
 def test_worker_beats_reach_the_aggregator_on_the_control_channel(

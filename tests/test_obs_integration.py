@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.ledger import snapshot_digest
 from repro.obs.runtime import ObsOptions
 from repro.obs.summarize import find_run_dirs, load_run, summarize
 from repro.obs.trace import validate_jsonl
@@ -55,13 +56,17 @@ def test_metrics_collected_even_untraced(runs):
 
 
 def test_manifest_pins_the_run(runs):
-    manifest = runs["traced_1"].manifest
-    assert manifest is not None
-    assert manifest.system == "headline"
-    assert manifest.n_shards == 4
-    assert manifest.trace_enabled
-    assert manifest.counter_totals == runs["traced_1"].metrics.counters
-    assert manifest.rng_stream_manifest_hash is not None
+    """The run's record pins its identity and totals, traced or not."""
+    record = runs["traced_1"].record
+    assert record.system == "headline"
+    assert record.n_shards == 4
+    assert record.seq == 0
+    assert record.counter_totals == runs["traced_1"].metrics.counters
+    assert record.metrics_digest == snapshot_digest(
+        runs["traced_1"].metrics)
+    assert record.rng_stream_manifest_hash is not None
+    # Tracing is observation only: the untraced record is the same.
+    assert runs["plain"].record == record
 
 
 def test_trace_events_are_shard_ordered_sim_time(runs):
@@ -80,16 +85,22 @@ def test_artifact_directory_roundtrip(tmp_path, tiny_config,
     run_dir = result.artifacts_dir
     assert run_dir is not None and run_dir.parent == tmp_path
     names = {p.name for p in run_dir.iterdir()}
-    assert {"manifest.json", "metrics.json", "profile.json",
-            "trace.jsonl", "trace.chrome.json"} <= names
+    assert names == {"run.json", "trace.jsonl", "trace.chrome.json"}
     assert validate_jsonl(run_dir / "trace.jsonl") == []
 
     assert find_run_dirs(tmp_path) == [run_dir]
-    record = load_run(run_dir)
-    assert record.manifest.system == "headline"
-    assert record.metrics == result.metrics
+    run = load_run(run_dir)
+    assert run["record"] == result.record
+    assert run["metrics"] == result.metrics
+    assert run["profile"] == result.profile
+    assert run["resources"] == result.resources
+    assert run["elapsed_s"] == result.elapsed_s
+    assert run["trace_enabled"]
+    assert run["config"]["seed"] == tiny_config.seed
     text = summarize(tmp_path)
     for needle in ("exchange.auctions.held", "server.plan.assignments",
                    "server.rescues", "client.beacons", "radio.wakeups",
-                   "wall-clock profile", "shard.0.execute"):
+                   "wall-clock profile", "shard.0.execute",
+                   "headline.energy_savings", "peak_rss=", "train_days",
+                   "trace.chrome.json"):
         assert needle in text

@@ -1,12 +1,13 @@
-"""The run ledger: records, append/merge ordering, diff, regress.
+"""The run ledger: records, append ordering, diff, regress.
 
 Covers the :mod:`repro.obs.ledger` machinery end to end — RunRecord
-round-trips, seq assignment and the schema header, reference
-resolution, tolerance-aware diffs, the regress gate (including an
-artificially injected counter regression, which must fail), the
-Runner's ``ObsOptions.ledger`` integration at jobs 1 vs 4, and the
-frozen golden for :func:`repro.obs.manifest.config_digest` so silent
-identity-hash drift cannot slip through.
+round-trips and the strict row reader, seq assignment and the schema
+header, reference resolution, tolerance-aware diffs, the regress gate
+(including an artificially injected counter regression, which must
+fail), the Runner's ``ObsOptions.ledger`` integration at jobs 1 vs 4
+and its agreement with ``run.json``, and the frozen golden for
+:func:`repro.obs.manifest.config_digest` so silent identity-hash drift
+cannot slip through.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from repro.obs.ledger import (
     LedgerError,
     RunRecord,
     diff_records,
-    merge_records,
     regress,
     snapshot_digest,
-    timings_path_for,
 )
-from repro.obs.manifest import build_manifest, config_digest
+from repro.cli import main
+from repro.obs.manifest import config_digest
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.resources import ResourceTelemetry, collect_telemetry
+from repro.obs.resources import ResourceTelemetry
 from repro.obs.runtime import ObsOptions
+from repro.obs.summarize import RUN_FILENAME
 from repro.runner import Runner
 
 
@@ -89,19 +90,24 @@ class TestRunRecord:
         assert (make_record(backend="event").run_key
                 != make_record(backend="batched").run_key)
 
-    def test_from_manifest_carries_identity_not_timing(self):
+    def test_for_run_carries_identity_not_timing(self):
         config = ExperimentConfig(n_users=20, n_days=4, train_days=2,
                                   seed=11)
-        manifest = build_manifest(
+        record = RunRecord.for_run(
             config, system="headline", n_shards=2, parallelism=1,
-            trace_enabled=False, elapsed_s=12.5,
-            counter_totals={"server.rescues": 2.0})
-        record = RunRecord.from_manifest(manifest, experiment="e9")
+            experiment="e9", counter_totals={"server.rescues": 2.0})
         assert record.experiment == "e9"
-        assert record.config_hash == manifest.config_hash
+        assert record.system == "headline"
+        assert record.config_hash == config_digest(config)
         assert record.seed == 11
+        assert record.seq == 0
         assert record.counter_totals == {"server.rescues": 2.0}
-        # Timing-bearing manifest fields never enter the record.
+        assert record.fault_plan_hash is None
+        assert record.equivalence_contract_hash is None
+        assert RunRecord.for_run(
+            config, system="headline", n_shards=2, parallelism=1,
+            backend="batched").equivalence_contract_hash is not None
+        # No timing-bearing field exists to enter the record.
         assert "elapsed" not in json.dumps(record.to_jsonable())
 
 
@@ -127,7 +133,7 @@ def test_snapshot_digest_stable_and_content_sensitive():
 
 
 # ---------------------------------------------------------------------
-# Ledger file: append, header, resolve, timings sibling
+# Ledger file: append, header, resolve, strict rows
 # ---------------------------------------------------------------------
 
 
@@ -162,20 +168,6 @@ class TestLedgerFile:
     def test_missing_ledger_reads_empty(self, tmp_path):
         assert Ledger(tmp_path / "absent.jsonl").records() == []
 
-    def test_telemetry_goes_to_timings_sibling_only(self, tmp_path):
-        ledger = Ledger(tmp_path / "ledger.jsonl")
-        telemetry = collect_telemetry(elapsed_s=1.25, users_total=40.0)
-        appended = ledger.append(make_record(), telemetry=telemetry,
-                                 timing_extra={"benchmark": {"total": 1.2}})
-        sibling = timings_path_for(ledger.path)
-        assert sibling == tmp_path / "ledger.timings.jsonl"
-        row = json.loads(sibling.read_text().splitlines()[0])
-        assert row["record_id"] == appended.record_id
-        assert row["resources"]["elapsed_s"] == 1.25
-        assert row["benchmark"] == {"total": 1.2}
-        # The committed side stays timing-free.
-        assert "elapsed" not in ledger.path.read_text()
-
     def test_resolve_latest_seq_and_prefix(self, tmp_path):
         ledger = Ledger(tmp_path / "ledger.jsonl")
         first = ledger.append(make_record())
@@ -196,15 +188,52 @@ class TestLedgerFile:
             ledger.resolve("zzzzzz")
 
 
-def test_merge_records_orders_dedups_and_is_associative():
-    a = make_record(seed=1).with_seq(1)
-    b = make_record(seed=2).with_seq(2)
-    c = make_record(seed=3).with_seq(3)
-    merged = merge_records([b, a], [a, c])
-    assert merged == [a, b, c]
-    # Associativity: (x ∪ y) ∪ z == x ∪ (y ∪ z).
-    assert merge_records(merge_records([b], [a]), [c]) == \
-        merge_records([b], merge_records([a], [c]))
+def _row(**changes):
+    """A valid ledger row with ``changes`` applied (``None`` deletes)."""
+    row = make_record(seq=1).to_jsonable()
+    for key, value in changes.items():
+        if value is None:
+            del row[key]
+        else:
+            row[key] = value
+    return row
+
+
+@pytest.mark.parametrize("row, key", [
+    pytest.param(_row(seed=None), "seed", id="missing-key"),
+    pytest.param(_row(seed="7"), "seed", id="wrong-type"),
+    pytest.param(_row(n_shards=True), "n_shards", id="bool-is-not-int"),
+    pytest.param(_row(metrics={"a": "oops"}), "metrics",
+                 id="non-numeric-metric"),
+    pytest.param(_row(metrics={"a": "1.5"}), "metrics",
+                 id="numeric-string-metric"),
+    pytest.param(_row(counter_totals=[1.0]), "counter_totals",
+                 id="non-object-counter-totals"),
+    pytest.param(_row(extra=1), "extra", id="unknown-key"),
+])
+def test_malformed_row_names_file_line_and_key(tmp_path, row, key):
+    """A malformed row fails loudly instead of reading as defaults."""
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps({"schema": LEDGER_SCHEMA_NAME,
+                                "version": LEDGER_SCHEMA_VERSION}) + "\n"
+                    + json.dumps(_row()) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(LedgerError) as excinfo:
+        Ledger(path).records()
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: line 3:")
+    assert repr(key) in message
+    assert "\n" not in message
+
+
+def test_cli_ledger_show_rejects_malformed_row(tmp_path, capsys):
+    path = tmp_path / "ledger.jsonl"
+    path.write_text(json.dumps({"seq": 1, "seed": "7",
+                                "metrics": {"a": "oops"}}) + "\n")
+    assert main(["obs", "ledger", "--ledger-path", str(path),
+                 "show", "latest"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 1" in err
+    assert "seed=0" not in err
 
 
 # ---------------------------------------------------------------------
@@ -321,11 +350,24 @@ def test_runner_appends_identical_records_at_any_parallelism(tmp_path):
     assert one.counter_totals["throughput.events_total"] > 0
     report = regress(records)
     assert report.ok and report.compared == 1
-    # Telemetry rode the gitignored sibling.
-    timing_rows = [json.loads(line) for line in
-                   timings_path_for(path).read_text().splitlines()]
-    assert len(timing_rows) == 2
-    assert all(row["resources"]["elapsed_s"] > 0 for row in timing_rows)
+    # The ledger is the only file an append writes.
+    assert [p.name for p in tmp_path.iterdir()] == ["ledger.jsonl"]
+
+
+def test_run_json_record_is_the_appended_ledger_row(tmp_path, capsys):
+    """One ``--ledger --metrics-out`` run: the record in ``run.json``
+    is exactly the row the ledger received, minus its append seq."""
+    ledger = tmp_path / "ledger.jsonl"
+    out = tmp_path / "runs"
+    assert main(["headline", "--users", "12", "--days", "6",
+                 "--train-days", "3", "--seed", "15",
+                 "--metrics-out", str(out), "--ledger", str(ledger)]) == 0
+    capsys.readouterr()
+    (run_dir,) = out.iterdir()
+    record = json.loads((run_dir / RUN_FILENAME).read_text())["record"]
+    row = json.loads(ledger.read_text().splitlines()[-1])
+    assert (record.pop("seq"), row.pop("seq")) == (0, 1)
+    assert record == row
 
 
 def test_runner_result_carries_resource_telemetry():

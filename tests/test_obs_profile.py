@@ -39,15 +39,6 @@ class TestPhaseStats:
 
 
 class TestRunProfile:
-    def test_keywise_merge(self):
-        a = RunProfile(phases={"merge": PhaseStats.from_duration(1.0)})
-        b = RunProfile(phases={"merge": PhaseStats.from_duration(2.0),
-                               "world.build": PhaseStats.from_duration(5.0)})
-        merged = a.merge(b)
-        assert merged.phases["merge"].calls == 2
-        assert merged.phases["world.build"].calls == 1
-        assert merged.total_s == 8.0
-
     def test_jsonable_roundtrip(self):
         profile = RunProfile(phases={"x": PhaseStats.from_duration(1.0)})
         assert RunProfile.from_jsonable(profile.to_jsonable()) == profile

@@ -1,20 +1,17 @@
-"""repro.obs runtime context, run manifests, and the log helper."""
+"""repro.obs runtime context, run identity hashes, and the log helper."""
 
 from __future__ import annotations
 
 import io
+import json
 import logging
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.obs import log
-from repro.obs.manifest import (
-    RunManifest,
-    build_manifest,
-    config_digest,
-    streams_manifest_hash,
-)
+from repro.obs.ledger import RunRecord
+from repro.obs.manifest import config_digest, streams_manifest_hash
 from repro.obs.runtime import (
     NULL_RECORDER,
     Obs,
@@ -103,16 +100,15 @@ class TestManifest:
     def test_build_and_roundtrip(self, tmp_path):
         config = ExperimentConfig(n_users=40, n_days=6, train_days=3,
                                   seed=99)
-        manifest = build_manifest(
+        record = RunRecord.for_run(
             config, system="headline", n_shards=4, parallelism=2,
-            trace_enabled=True, elapsed_s=1.25,
             counter_totals={"engine.events": 100.0})
-        assert manifest.seed == 99
-        assert manifest.config_hash == config_digest(config)
-        assert manifest.rng_stream_manifest_hash == streams_manifest_hash()
-        path = tmp_path / "manifest.json"
-        manifest.write(path)
-        assert RunManifest.read(path) == manifest
+        assert record.seed == 99
+        assert record.config_hash == config_digest(config)
+        assert record.rng_stream_manifest_hash == streams_manifest_hash()
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record.to_jsonable()))
+        assert RunRecord.from_jsonable(json.loads(path.read_text())) == record
 
 
 class TestLogHelper:

@@ -18,7 +18,7 @@ from repro.analysis import analyze_source, run_analysis
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.cli import main as lint_main
-from repro.analysis.manifest import build_manifest, check_manifest
+from repro.analysis.manifest import build_stream_manifest, check_manifest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "analysis" / "repro-lint-baseline.json"
@@ -62,7 +62,7 @@ class TestSelfApplication:
 
     def test_manifest_covers_known_streams(self, repo_report):
         names = {entry["name"] for entry
-                 in build_manifest(repo_report.stream_sites)["streams"]}
+                 in build_stream_manifest(repo_report.stream_sites)["streams"]}
         # Anchor streams the experiments depend on; renaming any of
         # these re-seeds a component and must show up here.
         for expected in ("population", "trace", "radio-assignment",
