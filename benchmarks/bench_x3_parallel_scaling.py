@@ -102,9 +102,7 @@ def _beat_overhead(cache: WorldCache):
     setup = WorkerLiveSetup(
         transport=CallbackTransport(lambda beat: None),
         beat_interval_s=0.2,
-        ring_size=256,
-        postmortem_dir=Path("obs-runs") / "postmortems",  # unused: no crash
-        system="headline", backend="batched")
+        postmortem_dir=Path("obs-runs") / "postmortems")  # unused: no crash
     timings: dict[str, float] = {}
     shard_results = {}
     for label, live in (("quiet", None), ("live", setup)):

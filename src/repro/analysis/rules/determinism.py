@@ -18,8 +18,8 @@ including the monotonic allowlist — is flagged outside
 simulation, so traces and metrics must be pure functions of simulated
 time; only the profiling module (wall-clock phase timing), the
 resource-telemetry module (CPU seconds, peak RSS), and the live
-telemetry plane (heartbeat pacing, stall/straggler watchdog — beats
-are out-of-band and never enter results) measure real time, which
+telemetry plane (heartbeat pacing and progress-line throttling —
+beats are out-of-band and never enter results) measure real time, which
 keeps the "where may real time leak in?" audit surface to those three
 files.
 
@@ -60,7 +60,7 @@ class DeterminismRule(Rule):
 
     #: repro.obs modules allowed to read wall clocks (profile: phase
     #: timing; resources: CPU seconds / RSS telemetry; live: heartbeat
-    #: pacing + stall watchdog — out-of-band, never entering results).
+    #: pacing + render throttling — out-of-band, never entering results).
     OBS_CLOCK_MODULES = (("repro", "obs", "profile"),
                          ("repro", "obs", "resources"),
                          ("repro", "obs", "live"))

@@ -35,9 +35,11 @@ Perfetto; implies ``--metrics-out`` defaulting to ``./obs-runs``), and
 ``--verbose`` turns on the shared :mod:`repro.obs.log` diagnostics.
 ``--progress`` switches on the live telemetry plane
 (:mod:`repro.obs.live`): streamed shard heartbeats rendered as a live
-progress line on stderr, a straggler/stall watchdog, and flight-recorder
-postmortems for crashed or lost shards (``--beat-interval`` tunes the
-heartbeat pacing; results stay bit-identical with the plane on or off).
+progress line on stderr, and a flight-recorder ``crash`` postmortem for
+a shard that raises (the coordinator behind ``--jobs N`` writes ``lost``
+and ``stall`` postmortems whenever it re-dispatches a shard;
+``--beat-interval`` tunes the heartbeat pacing; results stay
+bit-identical with the plane on or off).
 ``run``, ``headline``, and ``report`` also accept ``--faults plan.json``
 to inject deterministic faults (see :mod:`repro.faults`); results stay
 bit-identical at any ``--jobs`` for any plan.
@@ -480,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=_cmd_obs_validate)
 
     p_pm = obs_sub.add_parser(
-        "postmortem", help="inspect flight-recorder postmortems written "
-                           "by the live telemetry plane")
+        "postmortem", help="inspect the postmortems written by crashing "
+                           "shards and the coordinator")
     pm_sub = p_pm.add_subparsers(dest="postmortem_command", required=True)
     pm_show = pm_sub.add_parser("show", help="render one postmortem file")
     pm_show.add_argument("path", help="a shard-NNN-<kind>.json file")

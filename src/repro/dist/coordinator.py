@@ -14,9 +14,9 @@ an unreliable worker fleet, without ever touching a simulation object:
   :class:`~repro.obs.live.ShardBeat` the holder sends for it renews
   the lease, so a healthy shard may run arbitrarily long. A lease that
   runs out is the one stall mechanism: the coordinator terminates the
-  holder and handles it as a lost worker. The beats also feed the
-  :class:`~repro.obs.live.LivePlane`, whose watchdog renders progress
-  and writes stall postmortems but never steals.
+  holder and handles it as a lost worker, with a ``stall`` postmortem.
+  The beats also feed the :class:`~repro.obs.live.LivePlane`, a fold
+  that renders progress and detects nothing.
 * **Worker loss** — the main loop blocks in
   ``multiprocessing.connection.wait`` over every pipe and process
   sentinel until the nearest lease deadline. A sentinel or pipe EOF
@@ -150,8 +150,9 @@ class Coordinator:
         :class:`~repro.obs.live.LiveOptions` for the telemetry plane
         the coordinator always runs — heartbeats renew leases, so they
         are its failure detector, not an optional nicety. Its
-        ``stall_after_s`` is the lease window. ``None`` uses quiet
-        defaults.
+        ``stall_after_s`` is the lease window and its
+        ``postmortem_dir`` receives the ``lost``/``stall`` postmortems.
+        ``None`` uses quiet defaults.
     chaos:
         Optional :class:`~repro.faults.CoordinatorChaos` plan shipped
         to workers (seeded kills / duplicates / delays).
@@ -164,7 +165,6 @@ class Coordinator:
                  trace: bool = False,
                  live: LiveOptions | None = None,
                  chaos: CoordinatorChaos | None = None,
-                 system: str = "", backend: str = "",
                  max_attempts: int = 3) -> None:
         if not jobs:
             raise ValueError("jobs must be non-empty")
@@ -177,8 +177,6 @@ class Coordinator:
         self.trace = bool(trace)
         self.live = live if live is not None else LiveOptions()
         self.chaos = chaos
-        self.system = system
-        self.backend = backend
         self.max_attempts = int(max_attempts)
         self._shards = {job.shard_index: _ShardState(
             job=job, job_id=_job_id(job.shard_index)) for job in self.jobs}
@@ -194,8 +192,9 @@ class Coordinator:
         self._duplicates = 0
         self._nacks = 0
         self._attempts = 0
+        #: The ``lost``/``stall`` postmortems this coordinator wrote.
         self.postmortems: list[Path] = []
-        self.plane: LivePlane | None = None
+        self.plane = LivePlane(self.live, n_shards=len(self.jobs))
 
     # -- public API ---------------------------------------------------
 
@@ -204,13 +203,8 @@ class Coordinator:
 
         Raises :class:`DistError` when any shard exhausts its retry
         budget or a worker dies before reporting ready. Always tears
-        down the workers and the live plane.
+        down the workers and renders the plane's last progress line.
         """
-        plane = LivePlane(self.live, n_shards=len(self.jobs),
-                          system=self.system, backend=self.backend)
-        self.plane = plane
-        plane.start()
-        failed = False
         try:
             for _ in range(self.workers):
                 self._spawn_worker()
@@ -218,11 +212,8 @@ class Coordinator:
                 self._dispatch()
                 self._wait_once()
                 self._check_leases()
-        except BaseException:
-            failed = True
-            raise
         finally:
-            self._shutdown(plane, failed=failed)
+            self._shutdown()
         return [self._results[i] for i in sorted(self._results)]
 
     @property
@@ -277,8 +268,6 @@ class Coordinator:
         state.worker_id = ""
         state.deadline = float("inf")
         self._requeues += 1
-        if self.plane is not None:
-            self.plane.aggregator.reset_shard(state.job.shard_index)
         _log.warning("re-dispatching shard %d (attempt %d): %s",
                      state.job.shard_index, state.attempt, reason)
         self._queue.append(state.job.shard_index)
@@ -288,7 +277,6 @@ class Coordinator:
 
         from .worker import worker_main
 
-        assert self.plane is not None
         worker_id = f"w{self._worker_seq}"
         self._worker_seq += 1
         conn, child = multiprocessing.Pipe()
@@ -377,9 +365,8 @@ class Coordinator:
             self._handle_result(message, payload)
 
     def _on_beat(self, handle: _WorkerHandle, beat: ShardBeat) -> None:
-        """Feed the watchdog and renew the holder's lease."""
-        if self.plane is not None:
-            self.plane.aggregator.ingest(beat)
+        """Feed the plane and renew the holder's lease."""
+        self.plane.ingest(beat)
         state = self._shards.get(beat.shard_index)
         if state is not None and not state.done and \
                 state.worker_id == handle.worker_id and not handle.expired:
@@ -448,14 +435,14 @@ class Coordinator:
 
     def _write_lost_postmortem(self, state: _ShardState,
                                handle: _WorkerHandle) -> None:
-        assert self.plane is not None
-        view = self.plane.aggregator.view(state.job.shard_index)
+        """``stall`` when the coordinator expired the lease, else ``lost``."""
+        view = self.plane.view(state.job.shard_index)
         postmortem = Postmortem(
-            kind="lost",
+            kind="stall" if handle.expired else "lost",
             shard_index=state.job.shard_index,
             n_shards=state.job.n_shards,
-            system=self.system,
-            backend=self.backend,
+            system=state.job.mode,
+            backend=state.job.backend,
             reason=(f"worker {handle.worker_id} exited (code "
                     f"{handle.process.exitcode}) holding shard "
                     f"{state.job.shard_index} attempt {state.attempt}"
@@ -465,13 +452,14 @@ class Coordinator:
                        if view.last_beat is not None else None),
         )
         path = postmortem.write_to(self.plane.postmortem_dir)
-        self.plane.note_postmortem(path)
         if path not in self.postmortems:
             self.postmortems.append(path)
+        _log.warning("postmortem written: %s (inspect with "
+                     "'adprefetch obs postmortem show %s')", path, path)
 
     # -- teardown -----------------------------------------------------
 
-    def _shutdown(self, plane: LivePlane, failed: bool) -> None:
+    def _shutdown(self) -> None:
         # Read each busy worker's farewell traffic up to its
         # WorkerReady, so duplicate accounting is complete. Pure
         # bookkeeping — a teardown drain must never raise.
@@ -499,7 +487,4 @@ class Coordinator:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
-        plane.finish(failed=failed)
-        for path in plane.postmortems:
-            if path not in self.postmortems:
-                self.postmortems.append(path)
+        self.plane.finish()

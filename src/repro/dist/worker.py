@@ -65,8 +65,8 @@ def worker_main(conn: Connection, worker_id: str, *, peer: Connection,
     the coordinator's end of ``conn``, which a forked child inherits
     and closes here so the coordinator's own close reaches it as EOF.
     ``trace`` is the run-wide trace flag; ``live`` carries the beat
-    interval, the flight-recorder ring size and the postmortem
-    directory — its beats are rewired onto ``conn``.
+    interval and the postmortem directory — its beats are rewired onto
+    ``conn``.
     """
     from repro.runner import run_shard
 

@@ -24,8 +24,8 @@ wall-clock profile and the resource telemetry sampled by
 :mod:`repro.obs.resources` — written and validated by
 :mod:`repro.obs.summarize`. :mod:`repro.obs.log` replaces ad-hoc prints
 with a silenceable shared logger. :mod:`repro.obs.live` is the live
-telemetry plane — streamed :class:`ShardBeat` heartbeats, the
-straggler/stall watchdog, and the ``--progress`` renderer — with
+telemetry plane — streamed :class:`ShardBeat` heartbeats folded
+into a run-wide progress view and the ``--progress`` renderer — with
 :mod:`repro.obs.flightrec` providing the bounded-ring crash flight
 recorder and postmortem files (DESIGN.md §12). See DESIGN.md §8 for
 the naming scheme and merge contract.
@@ -53,13 +53,11 @@ from .live import (
     NULL_EMITTER,
     BeatEmitter,
     CallbackTransport,
-    LiveAggregator,
     LiveOptions,
     LivePlane,
     LiveSnapshot,
     NullBeatEmitter,
     ShardBeat,
-    StragglerEvent,
     render_progress,
     shard_heartbeat,
 )
@@ -126,7 +124,6 @@ __all__ = [
     "HistogramSnapshot",
     "Ledger",
     "LedgerError",
-    "LiveAggregator",
     "LiveOptions",
     "LivePlane",
     "LiveSnapshot",
@@ -147,7 +144,6 @@ __all__ = [
     "RunProfile",
     "RunRecord",
     "ShardBeat",
-    "StragglerEvent",
     "SummarizeError",
     "TraceEvent",
     "TraceRecorder",

@@ -4,11 +4,13 @@
 and keeps a bounded ring of the most recent trace events — including
 fault injections, which the injector emits as ``("faults", ...)``
 instants through the same recorder. In normal runs the ring is simply
-dropped at shard exit; it is serialized into a :class:`Postmortem`
-file **only** when a shard raises, a worker is lost, or the live
-watchdog flags a stall. That gives E13-style fault runs what an
-aircraft accident investigation gets: the last N seconds of telemetry
-before the event, at O(ring) memory no matter how long the run was.
+dropped at shard exit; it is serialized into a ``crash``
+:class:`Postmortem` file **only** when a shard raises, by the shard's
+own process. That gives E13-style fault runs what an aircraft accident
+investigation gets: the last N seconds of telemetry before the event,
+at O(ring) memory no matter how long the run was. The
+:mod:`repro.dist` coordinator writes the other two kinds, ``lost`` and
+``stall``, from the last beat it saw (the ring died with the worker).
 
 Like the rest of the trace layer this module is clock-free and
 observation-only: wrapping the recorder in a ring never changes what
@@ -32,10 +34,11 @@ from .trace import TraceEvent, TraceRecorder
 #: Schema version stamped into every postmortem file.
 POSTMORTEM_SCHEMA_VERSION = 1
 
-#: Default ring capacity (events) when none is configured.
+#: Ring capacity (events) of every live shard's flight recorder.
 DEFAULT_RING_SIZE = 256
 
-#: The postmortem kinds the plane can write.
+#: The postmortem kinds: a shard's own ``crash``; the coordinator's
+#: ``stall`` (lease expired) and ``lost`` (worker died).
 POSTMORTEM_KINDS = ("crash", "stall", "lost")
 
 
@@ -99,12 +102,13 @@ class RingRecorder(TraceRecorder):
 class Postmortem:
     """One shard's black-box record, written at failure time only.
 
-    ``kind`` says why it exists: ``crash`` (the shard raised; carries
-    the traceback), ``stall`` (the watchdog's silence window expired),
-    or ``lost`` (the pool drained without a final beat — worker killed
-    or died without raising). ``ring_events`` is the flight recorder's
-    tail in jsonable trace-row form; ``last_beat`` is the final
-    :class:`~repro.obs.live.ShardBeat` the parent saw, if any.
+    ``kind`` says why it exists and who wrote it: ``crash`` (the shard
+    raised; written by the shard's process, carries the traceback and
+    the flight recorder's ring), ``stall`` (the coordinator expired the
+    holder's lease and terminated it) or ``lost`` (the holding worker
+    died). ``ring_events`` is the flight recorder's tail in jsonable
+    trace-row form; ``last_beat`` is the final
+    :class:`~repro.obs.live.ShardBeat` the coordinator saw, if any.
     """
 
     kind: str

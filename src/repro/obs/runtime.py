@@ -120,9 +120,9 @@ class ObsOptions:
     additionally appends the run's :class:`repro.obs.ledger.RunRecord`
     (the same record ``run.json`` holds) to that JSONL ledger. ``live`` (CLI ``--progress`` /
     ``--beat-interval``) switches on the live telemetry plane
-    (:mod:`repro.obs.live`): streamed shard heartbeats, the straggler
-    watchdog, and the crash flight recorder — observation only, never
-    affecting results.
+    (:mod:`repro.obs.live`): streamed shard heartbeats folded into a
+    progress view, and the crash flight recorder — observation only,
+    never affecting results.
     """
 
     out_dir: Path | None = None

@@ -359,8 +359,7 @@ def run_shard(job: ShardJob, *, trace: bool = False,
     recorder = inner
     if live is not None:
         ring = RingRecorder(inner if inner is not None else NULL_RECORDER,
-                            shard=job.shard_index,
-                            capacity=live.ring_size)
+                            shard=job.shard_index)
         recorder = ring
         beats = BeatEmitter(live.transport,
                             shard_index=job.shard_index,
@@ -386,8 +385,7 @@ def run_shard(job: ShardJob, *, trace: bool = False,
             # None rather than masking the shard's own exception.
             capture_shard_crash(
                 shard_index=job.shard_index, n_shards=job.n_shards,
-                system=live.system or job.mode,
-                backend=live.backend or job.backend,
+                system=job.mode, backend=job.backend,
                 postmortem_dir=live.postmortem_dir, exc=exc, ring=ring,
                 counters=obs.metrics.snapshot().counters)
         if beats is not None:
@@ -509,10 +507,11 @@ class RunResult:
     (``metrics``, ``profile``, ``resources``, ``trace_events``) are
     carried alongside the simulation outcomes and never feed back into
     them: a traced run's ``comparison`` is bit-for-bit identical to an
-    untraced one. ``postmortems`` lists any flight-recorder files the
-    live plane wrote during the run (stall episodes that later recovered
-    still leave their postmortem behind, so the episode is inspectable
-    after the fact).
+    untraced one. ``postmortems`` lists the ``lost`` and ``stall``
+    postmortems the :mod:`repro.dist` coordinator wrote for shards it
+    re-dispatched (empty in-process, where there is no lease). A
+    shard that raises writes its own ``crash`` postmortem, which is
+    not listed here.
     """
 
     system: str
@@ -704,12 +703,10 @@ class Runner:
                 if live is None:
                     results = [run_shard(job, trace=trace) for job in jobs]
                 else:
-                    with LivePlane(live, n_shards=len(jobs), system=system,
-                                   backend=self.backend) as plane:
+                    with LivePlane(live, n_shards=len(jobs)) as plane:
                         setup = plane.worker_setup()
                         results = [run_shard(job, trace=trace, live=setup)
                                    for job in jobs]
-                    postmortems = tuple(plane.postmortems)
             else:
                 from repro.dist.coordinator import Coordinator
 
@@ -721,8 +718,6 @@ class Runner:
                           else self._with_postmortem_dir(LiveOptions(),
                                                          options)),
                     chaos=self.chaos,
-                    system=system,
-                    backend=self.backend,
                 )
                 results = coordinator.run()
                 dist_stats = coordinator.stats

@@ -4,10 +4,11 @@ The contract under test: a coordinator run — any ``parallelism`` above
 one, or any chaos plan, including seeded worker-kill /
 duplicate-result chaos at ``parallelism=1`` — merges **bit-identical**
 to the in-process ``parallelism=1`` run; a killed worker's shards are
-re-dispatched with a ``lost`` postmortem written; a shard that keeps
-beating keeps its lease; a worker outlives neither its pipe nor its
-coordinator; and a crashing shard produces the same flight-recorder
-postmortem in-process and on a coordinator worker.
+re-dispatched with a ``lost`` postmortem written, an expired lease's
+with a ``stall`` one; a shard that keeps beating keeps its lease; a
+worker outlives neither its pipe nor its coordinator; and a crashing
+shard produces the same flight-recorder postmortem in-process and on a
+coordinator worker, and no other.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from repro.dist.protocol import (
     WorkerReady,
 )
 from repro.faults.chaos import CoordinatorChaos
+from repro.obs.flightrec import Postmortem
 from repro.obs.ledger import snapshot_digest
-from repro.obs.live import LiveAggregator, LiveOptions, ShardBeat
+from repro.obs.live import LiveOptions, ShardBeat
 from repro.obs.runtime import ObsOptions
 from repro.runner import Runner, ShardResult, run_shard
 
@@ -188,12 +190,11 @@ def test_worker_beats_reach_the_aggregator_on_the_control_channel(
     run."""
     jobs = _jobs(tiny_config, tiny_world, system="realtime", shards=2)
     coordinator = Coordinator(
-        jobs, workers=2, system="realtime", backend="event",
+        jobs, workers=2,
         live=LiveOptions(beat_interval_s=0.001,
                          postmortem_dir=tmp_path / "postmortems"))
     coordinator.run()
-    assert coordinator.plane is not None
-    snapshot = coordinator.plane.aggregator.snapshot()
+    snapshot = coordinator.plane.snapshot()
     assert snapshot.done == 2 and snapshot.failed == 0
     assert snapshot.beats >= 4                  # hello + final per shard
 
@@ -204,11 +205,32 @@ def test_persistently_crashing_shard_exhausts_retries(
     _break(jobs[1])                         # detonates inside execute_shard
     coordinator = Coordinator(jobs, workers=2,
                               live=_dist_live(tmp_path),
-                              system="realtime", backend="event",
                               max_attempts=2)
     with pytest.raises(DistError, match="shard 1 failed after 2"):
         coordinator.run()
     assert coordinator.stats.nacks >= 2
+
+
+def test_shards_crashing_until_dist_error_leave_only_crash_postmortems(
+        tiny_config, tiny_world, tmp_path, monkeypatch):
+    """Every shard raises on its worker: the run ends in DistError with
+    each crash's own postmortem and no guessed ``lost`` ones, since no
+    worker was lost."""
+    import repro.experiments.harness as harness
+
+    def _boom(*args, **kwargs):
+        raise RuntimeError("device aggregation exploded")
+
+    # Workers fork from this process, so they inherit the patch.
+    monkeypatch.setattr(harness, "aggregate_devices", _boom)
+    live = LiveOptions(beat_interval_s=0.001,
+                       postmortem_dir=tmp_path / "postmortems")
+    runner = Runner(tiny_config, shards=4, parallelism=2, world=tiny_world,
+                    obs=ObsOptions(live=live))
+    with pytest.raises(DistError, match="failed after"):
+        runner.run("prefetch")
+    names = [p.name for p in (tmp_path / "postmortems").glob("*.json")]
+    assert names and all(name.endswith("-crash.json") for name in names)
 
 
 # ---------------------------------------------------------------------
@@ -228,16 +250,14 @@ def test_crash_postmortem_renders_identically_across_executors(
 
     serial_dir = tmp_path / "serial-postmortems"
     setup = WorkerLiveSetup(transport=CallbackTransport(lambda beat: None),
-                            beat_interval_s=0.0, ring_size=32,
-                            postmortem_dir=serial_dir,
-                            system="realtime", backend="event")
+                            beat_interval_s=0.0,
+                            postmortem_dir=serial_dir)
     with pytest.raises(AttributeError, match="window"):
         run_shard(jobs[1], live=setup)
 
     dist_dir = tmp_path / "dist" / "postmortems"
     coordinator = Coordinator(list(jobs), workers=1,
                               live=LiveOptions(postmortem_dir=dist_dir),
-                              system="realtime", backend="event",
                               max_attempts=1)
     with pytest.raises(DistError):
         coordinator.run()
@@ -287,13 +307,11 @@ def _unit_coordinator(tmp_path, shards=2, workers=1, **kwargs):
     outgrows the pipe buffer, which only a concurrently reading worker
     can drain.
     """
-    from repro.obs.live import LivePlane
-
-    jobs = [SimpleNamespace(shard_index=index, n_shards=shards)
+    jobs = [SimpleNamespace(shard_index=index, n_shards=shards,
+                            mode="headline", backend="event")
             for index in range(shards)]
     live = kwargs.pop("live", _dist_live(tmp_path))
     coordinator = Coordinator(jobs, workers=workers, live=live, **kwargs)
-    coordinator.plane = LivePlane(live, n_shards=shards)   # not started
     ends = {}
 
     def spawn():
@@ -339,7 +357,7 @@ def _result(index, attempt=0, worker_id="w0"):
 
 def test_expired_lease_is_requeued_with_next_attempt(tmp_path):
     """A silent holder is terminated; the sentinel path requeues its
-    shard with the next attempt, writes a ``lost`` postmortem, and the
+    shard with the next attempt, writes a ``stall`` postmortem, and the
     replacement worker gets the new attempt."""
     coordinator, ends = _unit_coordinator(tmp_path, shards=1)
     _ready(coordinator, ends, "w0")
@@ -356,8 +374,9 @@ def test_expired_lease_is_requeued_with_next_attempt(tmp_path):
     assert state.attempt == 1
     assert coordinator.stats.requeues == 1
     assert coordinator.stats.workers_lost == 1
-    assert [p.name for p in coordinator.postmortems] == [
-        "shard-000-lost.json"]
+    [path] = coordinator.postmortems
+    assert path.name == "shard-000-stall.json"
+    assert "lease expired" in Postmortem.load(path).reason
     _ready(coordinator, ends, "w1")         # the replacement
     envelope, _ = _take(ends, "w1")
     assert (envelope.shard_index, envelope.attempt) == (0, 1)
@@ -473,7 +492,7 @@ runner = Runner(config, shards=2)
 jobs = runner._jobs("realtime", runner.source.world_for(config))
 # Seed 1 delays both shards' results by minutes: the workers are busy.
 coordinator = Coordinator(
-    jobs, workers=2, system="realtime",
+    jobs, workers=2,
     live=LiveOptions(postmortem_dir=sys.argv[1]),
     chaos=CoordinatorChaos(seed=1, delay_mean_s=600.0))
 threading.Thread(target=coordinator.run, daemon=True).start()
@@ -529,38 +548,6 @@ def test_workers_exit_when_their_coordinator_is_killed(tmp_path):
         for pid in pids:
             if _pid_alive(pid):
                 os.kill(pid, signal.SIGKILL)
-
-
-# ---------------------------------------------------------------------
-# Aggregator re-arm on re-dispatch
-# ---------------------------------------------------------------------
-
-
-def test_reset_shard_rearms_watchdog_flags():
-    clock = [0.0]
-    aggregator = LiveAggregator(2, LiveOptions(stall_after_s=5.0),
-                                clock=lambda: clock[0])
-    aggregator.ingest(ShardBeat(shard_index=0, n_shards=2, seq=0,
-                                watermark_s=1.0, failed=True))
-    clock[0] = 10.0
-    stalled = {e.shard_index for e in aggregator.check()
-               if e.kind == "stall"}
-    assert stalled == {0}                   # shard 1 never started: waiting
-    view = aggregator.view(0)
-    assert view.failed
-    aggregator.reset_shard(0)
-    view = aggregator.view(0)
-    assert not view.failed and not view.stalled and not view.done
-    # The re-dispatched shard waits for a worker: no re-flag until it
-    # beats again and then falls silent.
-    clock[0] = 20.0
-    assert aggregator.check() == []
-    aggregator.ingest(ShardBeat(shard_index=0, n_shards=2, seq=1,
-                                watermark_s=1.0))
-    clock[0] = 26.0
-    assert [e.shard_index for e in aggregator.check()
-            if e.kind == "stall"] == [0]
-    aggregator.reset_shard(99)              # unknown index: no-op
 
 
 # ---------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Tests for the crash flight recorder (repro.obs.flightrec).
 
 Covers the bounded ring recorder, the postmortem file round-trip and
-renderer, the worker-side crash capture in ``run_shard``, the
-parent-side lost/stall capture in ``LivePlane``, a deliberately killed
-worker process in a coordinator fault run, and the
-``adprefetch obs postmortem`` CLI.
+renderer, the worker-side crash capture in ``run_shard`` (the only
+postmortem a serial run writes), the coordinator's ``stall`` capture,
+a deliberately killed worker process in a coordinator fault run, and
+the ``adprefetch obs postmortem`` CLI.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.obs.flightrec import (
 from repro.obs.live import (
     CallbackTransport,
     LiveOptions,
-    LivePlane,
     ShardBeat,
     WorkerLiveSetup,
 )
@@ -143,9 +142,8 @@ def _setup(tmp_path, sink=None):
     return WorkerLiveSetup(
         transport=CallbackTransport(sink if sink is not None
                                     else lambda beat: None),
-        beat_interval_s=0.0, ring_size=32,
-        postmortem_dir=tmp_path / "postmortems",
-        system="realtime", backend="event")
+        beat_interval_s=0.0,
+        postmortem_dir=tmp_path / "postmortems")
 
 
 def test_crashed_shard_writes_flight_recorder_postmortem(
@@ -166,6 +164,16 @@ def test_crashed_shard_writes_flight_recorder_postmortem(
     assert any(beat.failed for beat in beats)
 
 
+def _explode_device_aggregation(monkeypatch):
+    """Make every prefetch shard raise after its epoch loop."""
+    import repro.experiments.harness as harness
+
+    def _boom(*args, **kwargs):
+        raise RuntimeError("device aggregation exploded")
+
+    monkeypatch.setattr(harness, "aggregate_devices", _boom)
+
+
 def test_crash_postmortem_captures_flight_recorder_ring(
         tiny_config, tiny_world, tmp_path, monkeypatch):
     """E13-style black box: the ring holds the pre-crash trace trail.
@@ -174,12 +182,7 @@ def test_crash_postmortem_captures_flight_recorder_ring(
     flight recorder has buffered the per-epoch heartbeat instants by
     the time the shard raises — without ``--trace`` being on.
     """
-    import repro.experiments.harness as harness
-
-    def _boom(*args, **kwargs):
-        raise RuntimeError("device aggregation exploded")
-
-    monkeypatch.setattr(harness, "aggregate_devices", _boom)
+    _explode_device_aggregation(monkeypatch)
     jobs = _shard_jobs(tiny_config, tiny_world, system="prefetch",
                        shards=1)
     with pytest.raises(RuntimeError, match="exploded"):
@@ -195,50 +198,48 @@ def test_crash_postmortem_captures_flight_recorder_ring(
     assert "aggregation exploded" in postmortem.render()
 
 
+def test_serial_crash_leaves_only_the_crash_postmortem(
+        tiny_config, tiny_world, tmp_path, monkeypatch):
+    """In-process, the crashing shard writes its own black box and the
+    run ends; the shards that never started get no postmortem."""
+    _explode_device_aggregation(monkeypatch)
+    live = LiveOptions(beat_interval_s=0.001,
+                       postmortem_dir=tmp_path / "postmortems")
+    with pytest.raises(RuntimeError, match="exploded"):
+        Runner(tiny_config, shards=4, parallelism=1, world=tiny_world,
+               obs=ObsOptions(live=live)).run("prefetch")
+    assert [p.name for p in list_postmortems(tmp_path / "postmortems")] \
+        == ["shard-000-crash.json"]
+
+
 # ---------------------------------------------------------------------
-# Parent-side loss/stall capture
+# Coordinator-side stall capture
 # ---------------------------------------------------------------------
-
-
-def test_plane_writes_lost_postmortem_for_silent_shard(tmp_path):
-    plane = LivePlane(LiveOptions(postmortem_dir=tmp_path), n_shards=2,
-                      system="headline", backend="event")
-    plane.start()
-    plane.aggregator.ingest(ShardBeat(shard_index=0, n_shards=2, seq=0,
-                                      watermark_s=10.0, final=True))
-    plane.finish(failed=True)             # shard 1 never reported
-    [path] = plane.postmortems
-    postmortem = Postmortem.load(path)
-    assert postmortem.kind == "lost"
-    assert postmortem.shard_index == 1
-    assert "never reported a final beat" in postmortem.reason
-
-
-def test_plane_surfaces_worker_written_crash_file(tmp_path):
-    plane = LivePlane(LiveOptions(postmortem_dir=tmp_path), n_shards=1)
-    # Simulate the worker's own crash handler having written the box.
-    crash = _postmortem(shard_index=0).write_to(tmp_path)
-    plane.start()
-    plane.aggregator.ingest(ShardBeat(shard_index=0, n_shards=1, seq=0,
-                                      watermark_s=0.0, failed=True))
-    plane.finish(failed=True)
-    assert plane.postmortems == [crash]   # surfaced, not duplicated
-    assert len(list_postmortems(tmp_path)) == 1
 
 
 def test_stall_flag_leaves_inspectable_postmortem(tmp_path):
-    clock_now = [0.0]
-    plane = LivePlane(LiveOptions(stall_after_s=5.0,
-                                  postmortem_dir=tmp_path),
-                      n_shards=1, clock=lambda: clock_now[0])
-    plane.aggregator.ingest(ShardBeat(shard_index=0, n_shards=1, seq=0,
-                                      watermark_s=100.0))
-    clock_now[0] = 6.0
-    for event in plane.aggregator.check():
-        plane._write_stall_postmortem(event)
-    [path] = plane.postmortems
+    """An expired lease leaves a ``stall`` postmortem that carries the
+    last beat the coordinator saw for the shard."""
+    from types import SimpleNamespace
+
+    from repro.dist.coordinator import Coordinator, _WorkerHandle
+
+    job = SimpleNamespace(shard_index=0, n_shards=1, mode="headline",
+                          backend="event")
+    coordinator = Coordinator([job], workers=1,
+                              live=LiveOptions(postmortem_dir=tmp_path))
+    coordinator.plane.ingest(ShardBeat(shard_index=0, n_shards=1, seq=0,
+                                       watermark_s=100.0))
+    handle = _WorkerHandle(
+        worker_id="w0", process=SimpleNamespace(exitcode=-15), conn=None,
+        expired="lease expired: no message for shard 0 within 30.0s")
+    coordinator._write_lost_postmortem(coordinator._shards[0], handle)
+    [path] = coordinator.postmortems
     postmortem = Postmortem.load(path)
+    assert path.name == "shard-000-stall.json"
     assert postmortem.kind == "stall"
+    assert "lease expired" in postmortem.reason
+    assert (postmortem.system, postmortem.backend) == ("headline", "event")
     assert postmortem.last_beat is not None
     assert postmortem.last_beat["watermark_s"] == 100.0
 

@@ -1,10 +1,10 @@
 """Tests for the live telemetry plane (repro.obs.live).
 
 Covers the beat record round-trip, the wall-clock-throttled emitter,
-the straggler/stall watchdog under an injected fake clock, the
-progress renderer's TTY/pipe modes, and — the hard invariant — that
-runs with live telemetry on are bit-identical to runs with it off at
-jobs 1 and 4.
+the plane's fold of beats under an injected fake clock, the progress
+renderer's TTY/pipe modes, and — the hard invariant — that runs with
+live telemetry on are bit-identical to runs with it off at jobs 1 and
+4.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.obs.ledger import snapshot_digest
 from repro.obs.live import (
     BeatEmitter,
     CallbackTransport,
-    LiveAggregator,
     LiveOptions,
     LivePlane,
     NullBeatEmitter,
@@ -33,7 +32,7 @@ from repro.runner import Runner
 
 
 class FakeClock:
-    """Deterministic monotonic clock for watchdog/throttle tests."""
+    """Deterministic monotonic clock for throttle tests."""
 
     def __init__(self, start: float = 0.0) -> None:
         self.now = start
@@ -117,6 +116,20 @@ def test_emitter_forced_and_final_bypass_throttle():
     assert seen[-1].failed
 
 
+def test_final_and_failed_beats_repeat_last_published_progress():
+    clock = FakeClock()
+    seen: list[ShardBeat] = []
+    emitter = BeatEmitter(CallbackTransport(seen.append), shard_index=0,
+                          n_shards=1, interval_s=10.0, clock=clock)
+    emitter.beat(0.0, done=3, total=8, events_done=120)
+    assert emitter.beat(1.0, done=4, total=8, events_done=150) is None
+    final = emitter.beat(2.0, users=5, final=True)
+    failed = emitter.beat(3.0, failed=True)
+    for beat in (final, failed):
+        assert (beat.done, beat.total, beat.events_done) == (3, 8, 120)
+    assert final.users == 5
+
+
 def test_emitter_counters_are_deltas():
     clock = FakeClock()
     seen: list[ShardBeat] = []
@@ -190,7 +203,7 @@ def test_heartbeat_instants_identical_across_backends(tiny_config,
 
 
 # ---------------------------------------------------------------------
-# Watchdog: fake-clock stall/lag detection (satellite: coverage)
+# LivePlane: the fold of beats
 # ---------------------------------------------------------------------
 
 
@@ -199,80 +212,56 @@ def _beat(shard, watermark=0.0, seq=0, **kw):
                      watermark_s=watermark, **kw)
 
 
-def test_watchdog_stall_fires_at_threshold_and_clears_on_late_beat(caplog):
-    import logging
-
-    clock = FakeClock()
-    agg = LiveAggregator(2, LiveOptions(stall_after_s=10.0), clock=clock)
-    agg.ingest(_beat(0))
-    agg.ingest(_beat(1))
-    clock.advance(9.9)
-    assert agg.check() == []                     # inside the window
-    clock.advance(0.2)                           # 10.1s of silence
-    fired = agg.check()
-    assert {e.shard_index for e in fired} == {0, 1}
-    assert all(e.kind == "stall" for e in fired)
-    assert agg.check() == []                     # fires once per episode
-    # A late beat clears the flag and reports recovery.
-    with caplog.at_level(logging.INFO, logger="repro.obs.live"):
-        agg.ingest(_beat(1, seq=1))
-    assert "shard 1 recovered" in caplog.text
-    assert "shard 0 recovered" not in caplog.text
-    assert not agg.view(1).stalled and agg.view(0).stalled
-    # The cleared shard re-arms: a fresh silence window refires.
-    clock.advance(10.2)
-    refired = agg.check()
-    assert [e.shard_index for e in refired] == [1]
-
-
-def test_watchdog_flags_watermark_laggard():
-    clock = FakeClock()
-    agg = LiveAggregator(3, LiveOptions(stall_after_s=1e9,
-                                        lag_threshold_s=1000.0),
-                         clock=clock)
-    agg.ingest(ShardBeat(shard_index=0, n_shards=3, seq=0,
-                         watermark_s=50_000.0))
-    agg.ingest(ShardBeat(shard_index=1, n_shards=3, seq=0,
-                         watermark_s=50_000.0))
-    agg.ingest(ShardBeat(shard_index=2, n_shards=3, seq=0,
-                         watermark_s=100.0))
-    lagging = agg.check()
-    assert [e.shard_index for e in lagging] == [2]
-    assert lagging[0].kind == "lag"
-    assert lagging[0].median_watermark_s == 50_000.0
-    # Catching up clears the flag without an event.
-    agg.ingest(ShardBeat(shard_index=2, n_shards=3, seq=1,
-                         watermark_s=49_800.0))
-    assert agg.check() == []
-    assert not agg.view(2).lagging
-
-
-def test_watchdog_ignores_finished_shards():
-    clock = FakeClock()
-    agg = LiveAggregator(2, LiveOptions(stall_after_s=10.0), clock=clock)
-    agg.ingest(_beat(0, final=True))
-    agg.ingest(_beat(1))
-    clock.advance(20.0)
-    assert [e.shard_index for e in agg.check()] == [1]
-    assert agg.view(0).done and not agg.view(0).stalled
-
-
 def test_aggregator_snapshot_folds_progress():
-    clock = FakeClock()
-    agg = LiveAggregator(4, LiveOptions(), clock=clock)
-    agg.ingest(ShardBeat(shard_index=0, n_shards=4, seq=0,
-                         watermark_s=10.0, done=5, total=10,
-                         events_done=100, rss_bytes=512))
-    agg.ingest(ShardBeat(shard_index=1, n_shards=4, seq=0,
-                         watermark_s=30.0, done=10, total=10,
-                         events_done=300, rss_bytes=1024, final=True))
-    snap = agg.snapshot()
+    plane = LivePlane(LiveOptions(), n_shards=4)
+    plane.ingest(ShardBeat(shard_index=0, n_shards=4, seq=0,
+                           watermark_s=10.0, done=5, total=10,
+                           events_done=100, rss_bytes=512))
+    plane.ingest(ShardBeat(shard_index=1, n_shards=4, seq=0,
+                           watermark_s=30.0, done=10, total=10,
+                           events_done=300, rss_bytes=1024, final=True))
+    snap = plane.snapshot()
     assert snap.n_shards == 4 and snap.started == 2 and snap.done == 1
     assert snap.beats == 2
     assert snap.events_done == 400
     assert snap.progress == pytest.approx((0.5 + 1.0 + 0.0 + 0.0) / 4)
     assert snap.min_watermark_s == 10.0
     assert snap.peak_rss_bytes == 1024
+
+
+def test_redispatched_attempts_first_beat_replaces_the_old_one():
+    """Nothing to re-arm: a shard's flags are its latest beat's."""
+    plane = LivePlane(LiveOptions(), n_shards=2)
+    plane.ingest(_beat(0, watermark=500.0, seq=3, failed=True))
+    assert plane.view(0).failed and plane.snapshot().failed == 1
+    plane.ingest(_beat(0))                   # the new attempt's hello
+    view = plane.view(0)
+    assert not view.failed and not view.done
+    assert view.last_beat.watermark_s == 0.0 and view.beats == 2
+    plane.ingest(_beat(0, seq=1, final=True))
+    assert plane.view(0).done and plane.snapshot().done == 1
+    plane.ingest(_beat(99))                  # unknown index: dropped
+    assert plane.snapshot().beats == 3
+
+
+def test_plane_renders_at_most_one_line_per_beat_interval():
+    clock = FakeClock()
+    stream = io.StringIO()
+    plane = LivePlane(LiveOptions(beat_interval_s=1.0, progress=True),
+                      n_shards=2, stream=stream, clock=clock)
+    plane.ingest(_beat(0, done=1, total=4))  # first beat renders
+    clock.advance(0.5)
+    plane.ingest(_beat(1, done=1, total=4))  # inside the interval
+    assert len(stream.getvalue().splitlines()) == 1
+    clock.advance(0.5)
+    plane.ingest(_beat(0, seq=1, done=2, total=4))
+    assert len(stream.getvalue().splitlines()) == 2
+    plane.ingest(_beat(0, seq=2, final=True))
+    plane.ingest(_beat(1, seq=1, final=True))
+    plane.finish()                           # the last line, always
+    lines = stream.getvalue().splitlines()
+    assert len(lines) == 3
+    assert "shards 2/2 done" in lines[-1]
 
 
 # ---------------------------------------------------------------------
@@ -288,11 +277,11 @@ class _TtyStream(io.StringIO):
 def test_renderer_piped_output_is_line_oriented():
     stream = io.StringIO()
     renderer = ProgressRenderer(stream)
-    agg = LiveAggregator(2, LiveOptions(), clock=FakeClock())
-    renderer.render(agg.snapshot())
-    renderer.render(agg.snapshot())              # unchanged: not rewritten
-    agg.ingest(_beat(0, final=True))
-    renderer.render(agg.snapshot())
+    plane = LivePlane(LiveOptions(), n_shards=2)
+    renderer.render(plane.snapshot())
+    renderer.render(plane.snapshot())            # unchanged: not rewritten
+    plane.ingest(_beat(0, final=True))
+    renderer.render(plane.snapshot())
     renderer.close()
     out = stream.getvalue()
     assert "\r" not in out and "\x1b" not in out
@@ -305,10 +294,10 @@ def test_renderer_piped_output_is_line_oriented():
 def test_renderer_tty_output_refreshes_one_line():
     stream = _TtyStream()
     renderer = ProgressRenderer(stream)
-    agg = LiveAggregator(2, LiveOptions(), clock=FakeClock())
-    renderer.render(agg.snapshot())
-    agg.ingest(_beat(0, final=True))
-    renderer.render(agg.snapshot())
+    plane = LivePlane(LiveOptions(), n_shards=2)
+    renderer.render(plane.snapshot())
+    plane.ingest(_beat(0, final=True))
+    renderer.render(plane.snapshot())
     renderer.close()
     out = stream.getvalue()
     assert out.count("\r") == 2                  # one refresh per render
@@ -316,15 +305,11 @@ def test_renderer_tty_output_refreshes_one_line():
 
 
 def test_render_progress_flags_trouble():
-    clock = FakeClock()
-    agg = LiveAggregator(2, LiveOptions(beat_interval_s=0.5,
-                                        stall_after_s=1.0), clock=clock)
-    agg.ingest(_beat(0))
-    agg.ingest(_beat(1, failed=True))
-    clock.advance(2.0)
-    agg.check()
-    line = render_progress(agg.snapshot())
-    assert "STALLED" in line and "FAILED 1" in line
+    plane = LivePlane(LiveOptions(), n_shards=2)
+    plane.ingest(_beat(0))
+    assert "FAILED" not in render_progress(plane.snapshot())
+    plane.ingest(_beat(1, failed=True))
+    assert "FAILED 1" in render_progress(plane.snapshot())
 
 
 # ---------------------------------------------------------------------
@@ -357,38 +342,65 @@ def test_live_runs_bit_identical_jobs1_and_jobs4(tiny_config, tiny_world,
         assert live.postmortems == ()
 
 
-def test_healthy_run_never_trips_watchdog(tiny_config, tiny_world,
-                                          tmp_path, caplog):
-    """Default thresholds stay silent on a healthy run the machine can
-    actually schedule. The worker count adapts to the box: on a 1-CPU
-    container four workers get time-sliced so hard that the OS itself
-    manufactures sim-time stragglers — which the watchdog would rightly
-    flag, failing a "healthy" assertion that was never true there."""
+def test_healthy_run_never_trips_watchdog(tmp_path, caplog):
+    """Eight shards queued on two workers: the shards that start late
+    are healthy, so the plane logs no warning and the coordinator
+    writes no postmortem."""
     import logging
-    import os
 
-    jobs = 4 if (os.cpu_count() or 1) >= 4 else 1
-    with caplog.at_level(logging.WARNING, logger="repro.obs.live"):
-        result = _run(tiny_config, tiny_world, jobs, True, tmp_path)
+    from repro.experiments.config import ExperimentConfig
+
+    config = ExperimentConfig(seed=7, n_users=80, n_days=8, train_days=3)
+    live = LiveOptions(beat_interval_s=0.02,
+                       postmortem_dir=tmp_path / "postmortems")
+    with caplog.at_level(logging.DEBUG):
+        result = Runner(config, backend="batched", shards=8,
+                        parallelism=2,
+                        obs=ObsOptions(live=live)).run("prefetch")
+    assert result.dist is not None and result.dist.workers_lost == 0
     assert result.postmortems == ()
-    pm_dir = tmp_path / "postmortems"
-    assert not (pm_dir.exists() and list(pm_dir.glob("*.json")))
-    assert "stalled" not in caplog.text
-    assert "straggling" not in caplog.text
+    assert not (tmp_path / "postmortems").exists()
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "repro.obs.live"
+            and r.levelno >= logging.WARNING] == []
 
 
-def test_live_plane_serial_collects_beats(tiny_config, tiny_world):
-    plane = LivePlane(LiveOptions(beat_interval_s=0.001), n_shards=2,
-                      system="realtime")
-    plane.start()
-    setup = plane.worker_setup()
+def _serial_live_run(tiny_config, tiny_world, shards):
+    """A serial live run; returns (plane, beats in arrival order)."""
     from repro.runner import run_shard
-    runner = Runner(tiny_config, shards=2, world=tiny_world)
+
+    plane = LivePlane(LiveOptions(beat_interval_s=0.001),
+                      n_shards=shards)
+    seen: list[ShardBeat] = []
+
+    def sink(beat):
+        seen.append(beat)
+        plane.ingest(beat)
+
+    setup = plane.worker_setup(CallbackTransport(sink))
+    runner = Runner(tiny_config, shards=shards, world=tiny_world)
     world = runner.source.world_for(tiny_config)
     for job in runner._jobs("realtime", world):
         run_shard(job, live=setup)
     plane.finish()
-    snap = plane.aggregator.snapshot()
+    return plane, seen
+
+
+def test_live_plane_serial_collects_beats(tiny_config, tiny_world):
+    plane, _ = _serial_live_run(tiny_config, tiny_world, shards=2)
+    snap = plane.snapshot()
     assert snap.done == 2 and snap.failed == 0
     assert snap.beats >= 4                       # hello + final per shard
-    assert plane.postmortems == []
+
+
+def test_final_snapshot_keeps_the_events_of_the_last_beats(tiny_config,
+                                                           tiny_world):
+    """The final beat repeats the shard's last progress, so the last
+    ``[live]`` line does not fall back to ``events 0``."""
+    plane, seen = _serial_live_run(tiny_config, tiny_world, shards=2)
+    last_before_final = {beat.shard_index: beat.events_done
+                         for beat in seen if not beat.final}
+    snap = plane.snapshot()
+    assert snap.done == 2
+    assert snap.events_done == sum(last_before_final.values())
+    assert snap.events_done > 0
