@@ -2,11 +2,11 @@
 
 Everything that crosses the Runner's process boundary — the
 :class:`~repro.experiments.harness.ShardJob` payload, the committed
-ledger's :class:`~repro.obs.ledger.RunRecord`, the JSON-round-tripping
-:class:`~repro.faults.plan.FaultPlan`, and the accumulator snapshots
-the shard fold merges — must be statically shippable: picklable for the
-worker pool today, JSON-friendly for the queue-backed coordinator the
-ROADMAP plans. This rule walks the *type closure* of those contract
+ledger's :class:`~repro.obs.ledger.RunRecord`, the
+:class:`~repro.faults.plan.FaultPlan`, the :mod:`repro.dist` messages
+and the accumulator snapshots the shard fold merges — must be
+statically picklable, because each crosses a worker's pipe pickled.
+This rule walks the *type closure* of those contract
 roots through the module graph and flags:
 
 * a root that is not a dataclass, or missing its contract bits
@@ -40,9 +40,8 @@ SERIALIZATION_ROOTS: dict[str, dict[str, bool]] = {
     "repro.obs.metrics.MetricsSnapshot": {},
     # The repro.dist wire contract: every control message that crosses
     # a coordinator/worker pipe, plus the chaos plan shipped beside
-    # each job. All must stay flat scalar dataclasses so they both
-    # pickle across the pipe and JSON-round-trip for a socket/
-    # multi-host link.
+    # each job. All must stay flat scalar dataclasses that pickle
+    # across the pipe.
     "repro.dist.protocol.WorkerReady": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.JobEnvelope": {"frozen": True, "kw_only": True},
     "repro.dist.protocol.JobNack": {"frozen": True, "kw_only": True},

@@ -49,7 +49,7 @@ RULE_CATALOG: dict[str, tuple[str, str]] = {
                "that outlives the shard"),
     "RPR007": ("serialization-safety",
                "Shard-boundary payload types must be statically "
-               "picklable/JSON-round-trippable"),
+               "picklable"),
     "RPR008": ("unit-flow",
                "Unit suffixes must survive assignments, returns, and "
                "calls across module boundaries"),

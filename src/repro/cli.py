@@ -51,7 +51,10 @@ at 16 auto shards is now visible as a ``runner.auto_shards_clamped``
 counter).
 The count flags and ``--beat-interval`` must be positive, and
 ``--beat-interval`` must stay below the 30 s stall window; anything
-else is a one-line usage error (exit 2).
+else is a one-line usage error (exit 2). So is a ``--faults`` or
+``--chaos`` file that is missing, not JSON, or holds an unknown key or
+a wrong-typed or out-of-range value: argparse reads and checks the plan
+while it parses the flag, and the error names the file and the key.
 
 Each ``run``/``headline``/``report`` invocation installs its execution
 flags as one process-default :class:`repro.runner.ExecOptions` (which
@@ -76,8 +79,10 @@ from typing import Callable, TypeVar
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import BACKENDS
 from repro.experiments.registry import experiment_ids, run_experiment
+from repro.faults import CoordinatorChaos, FaultPlan
 
 _N = TypeVar("_N", int, float)
+_P = TypeVar("_P")
 
 
 def _add_world_args(parser: argparse.ArgumentParser) -> None:
@@ -119,6 +124,20 @@ def _beat_interval(text: str) -> float:
     return value
 
 
+def _plan_file(load: Callable[[str], _P]) -> Callable[[str], _P]:
+    """argparse ``type=`` wrapper: read a plan file with ``load``.
+
+    The reader's one-line error (it names the file and the key) becomes
+    the usage error.
+    """
+    def parse(path: str) -> _P:
+        try:
+            return load(path)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive(int), default=None,
                         help="worker processes for shard execution "
@@ -143,6 +162,7 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
                              "runner.auto_shards_clamped counter when "
                              "the clamp bites)")
     parser.add_argument("--chaos", metavar="PLAN.json", default=None,
+                        type=_plan_file(CoordinatorChaos.from_json_file),
                         help="coordinator chaos plan (JSON; see "
                              "repro.faults.CoordinatorChaos): seeded "
                              "worker kills, duplicated and delayed "
@@ -153,6 +173,7 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_faults_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults", metavar="PLAN.json", default=None,
+                        type=_plan_file(FaultPlan.from_json_file),
                         help="fault-injection plan (JSON; see "
                              "repro.faults.FaultPlan). Omitted or empty "
                              "== no faults, bit-identical to a run "
@@ -202,7 +223,6 @@ def _install_options(args: argparse.Namespace) -> None:
     :func:`repro.runner.default_exec_options`. Both are installed on
     every call, so one call's flags never leak into the next.
     """
-    from repro.faults.chaos import CoordinatorChaos
     from repro.obs import log
     from repro.obs.live import LiveOptions
     from repro.obs.runtime import ObsOptions, set_default_obs_options
@@ -230,26 +250,20 @@ def _install_options(args: argparse.Namespace) -> None:
             ledger=Path(args.ledger) if args.ledger is not None else None,
             live=live)
     set_default_obs_options(obs)
-    chaos = (CoordinatorChaos.from_json_file(args.chaos)
-             if args.chaos is not None else None)
     set_default_exec_options(ExecOptions().override(
         parallelism=args.jobs, backend=args.backend, shards=args.shards,
-        max_shards=args.max_shards, chaos=chaos))
+        max_shards=args.max_shards, chaos=args.chaos))
 
 
 def _config_from(args: argparse.Namespace) -> ExperimentConfig:
-    from repro.faults.plan import FaultPlan
-
-    plan_path = getattr(args, "faults", None)
-    faults = (FaultPlan.from_json_file(plan_path)
-              if plan_path is not None else FaultPlan())
+    faults = getattr(args, "faults", None)
     return ExperimentConfig(
         n_users=args.users,
         n_days=args.days,
         train_days=args.train_days,
         seed=args.seed,
         radio=args.radio,
-        faults=faults,
+        faults=faults if faults is not None else FaultPlan(),
     )
 
 
@@ -382,7 +396,7 @@ def _cmd_obs_postmortem(args: argparse.Namespace) -> int:
     if args.postmortem_command == "show":
         try:
             print(Postmortem.load(args.path).render())
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         return 0
@@ -395,7 +409,7 @@ def _cmd_obs_postmortem(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             postmortem = Postmortem.load(path)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             print(f"{path}  [unreadable] {exc}")
             continue
         print(f"{path}  [{postmortem.kind}] shard "

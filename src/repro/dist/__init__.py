@@ -12,7 +12,7 @@ re-executed pure function.
 Layering (modelled on a coordinator-core / coordinator-node split):
 
 * :mod:`~repro.dist.protocol` — the versioned wire contract: frozen
-  keyword-only message dataclasses, all JSON-round-trippable.
+  keyword-only message dataclasses, pickled over each worker's pipe.
 * :mod:`~repro.dist.worker` — the worker loop: report ready → read a
   job → execute, streaming :class:`~repro.obs.live.ShardBeat`\\ s on
   the pipe → deliver → report ready.
@@ -35,7 +35,6 @@ from .protocol import (
     JobNack,
     ResultEnvelope,
     WorkerReady,
-    message_from_jsonable,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ResultEnvelope",
     "WorkerReady",
-    "message_from_jsonable",
 ]

@@ -24,8 +24,17 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Mapping
 
+from repro.obs.fields import check_known, load_object
 from repro.sim.rng import RngRegistry
+
+#: A chaos plan file's keys → their JSON kinds (see
+#: :mod:`repro.obs.fields`).
+_CHAOS_SCHEMA = {
+    "seed": "int", "kill_prob": "number", "duplicate_prob": "number",
+    "delay_mean_s": "number", "first_attempt_only": "bool",
+}
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -84,7 +93,7 @@ class CoordinatorChaos:
         return replace(self, **overrides)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # JSON round-trip and hashing (the CLI --chaos format)
+    # JSON plan files and hashing (the CLI --chaos format)
     # ------------------------------------------------------------------
 
     def to_jsonable(self) -> dict[str, object]:
@@ -93,21 +102,20 @@ class CoordinatorChaos:
                 for spec in fields(self)}
 
     @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "CoordinatorChaos":
-        """Inverse of :meth:`to_jsonable`; rejects unknown keys."""
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown CoordinatorChaos field(s): {unknown}")
-        return cls(**payload)  # type: ignore[arg-type]
+    def from_jsonable(cls, payload: Mapping[str, object]
+                      ) -> "CoordinatorChaos":
+        """Inverse of :meth:`to_jsonable`, checked key by key.
+
+        Absent keys keep their defaults, present ones must have their
+        exact JSON kind, and unknown keys are rejected (one-line
+        ``ValueError``; see :func:`repro.obs.fields.check_known`).
+        """
+        return cls(**check_known(payload, _CHAOS_SCHEMA, "CoordinatorChaos"))
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "CoordinatorChaos":
         """Load a plan from a JSON file (``adprefetch --chaos plan.json``)."""
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{path}: chaos plan must be a JSON object")
-        return cls.from_jsonable(loaded)
+        return load_object(path, cls.from_jsonable)
 
     def digest(self) -> str:
         """Content hash of the plan (sha256 over sorted JSON)."""

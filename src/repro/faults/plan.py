@@ -5,10 +5,10 @@ survive — per-transfer loss, per-user connectivity outages, scheduled
 server blackouts, sync latency inflation, and device churn — together
 with the knobs of the client's retry/backoff response. The plan is a
 frozen keyword-only dataclass so it can ride inside
-:class:`repro.experiments.config.ExperimentConfig`, round-trip through
-JSON (``adprefetch run e13 --faults plan.json``), and hash into the run
-record: two runs with the same ``(config, seed, plan)`` triple are
-bit-identical at any ``--jobs``.
+:class:`repro.experiments.config.ExperimentConfig`, load from a strictly
+checked JSON file (``adprefetch run e13 --faults plan.json``), and hash
+into the run record: two runs with the same ``(config, seed, plan)``
+triple are bit-identical at any ``--jobs``.
 
 The *empty* plan (all intensities zero) is inert by construction: no
 injector is built, no RNG stream is touched, and every experiment
@@ -21,6 +21,19 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Mapping
+
+from repro.obs.fields import check_known, load_object
+
+#: A plan file's keys → their JSON kinds (see :mod:`repro.obs.fields`).
+_PLAN_SCHEMA = {
+    "loss_prob": "number", "outage_rate_per_day": "number",
+    "outage_duration_s": "number", "server_outages": "[[number]]",
+    "latency_mean_s": "number", "churn_prob": "number",
+    "max_retries": "int", "backoff_base_s": "number",
+    "backoff_cap_s": "number", "backoff_jitter": "number",
+    "failed_attempt_bytes": "int",
+}
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -128,7 +141,7 @@ class FaultPlan:
         return replace(self, **overrides)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # JSON round-trip and hashing
+    # JSON plan files and hashing
     # ------------------------------------------------------------------
 
     def to_jsonable(self) -> dict[str, object]:
@@ -142,26 +155,23 @@ class FaultPlan:
         return payload
 
     @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "FaultPlan":
-        """Inverse of :meth:`to_jsonable`; rejects unknown keys."""
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown FaultPlan field(s): {unknown}")
-        kwargs = dict(payload)
-        raw_windows = kwargs.get("server_outages")
-        if raw_windows is not None:
+    def from_jsonable(cls, payload: Mapping[str, object]) -> "FaultPlan":
+        """Inverse of :meth:`to_jsonable`, checked key by key.
+
+        Absent keys keep their defaults, present ones must have their
+        exact JSON kind, and unknown keys are rejected (one-line
+        ``ValueError``; see :func:`repro.obs.fields.check_known`).
+        """
+        kwargs = dict(check_known(payload, _PLAN_SCHEMA, "FaultPlan"))
+        if "server_outages" in kwargs:
             kwargs["server_outages"] = tuple(
-                tuple(window) for window in raw_windows)  # type: ignore[union-attr]
-        return cls(**kwargs)  # type: ignore[arg-type]
+                tuple(window) for window in kwargs["server_outages"])
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "FaultPlan":
         """Load a plan from a JSON file (the CLI ``--faults`` format)."""
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{path}: fault plan must be a JSON object")
-        return cls.from_jsonable(loaded)
+        return load_object(path, cls.from_jsonable)
 
     def digest(self) -> str:
         """Content hash of the plan (sha256 over sorted JSON).

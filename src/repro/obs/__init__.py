@@ -27,8 +27,11 @@ with a silenceable shared logger. :mod:`repro.obs.live` is the live
 telemetry plane — streamed :class:`ShardBeat` heartbeats folded
 into a run-wide progress view and the ``--progress`` renderer — with
 :mod:`repro.obs.flightrec` providing the bounded-ring crash flight
-recorder and postmortem files (DESIGN.md §12). See DESIGN.md §8 for
-the naming scheme and merge contract.
+recorder and postmortem files (DESIGN.md §12). Every JSON file the
+program reads back — ledger rows, ``run.json``, postmortems, trace
+JSONL and the ``--faults``/``--chaos`` plans — goes through the one
+strict checker in :mod:`repro.obs.fields`. See DESIGN.md §8 for the
+naming scheme and merge contract.
 """
 
 from . import log

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from .fields import check_object, load_object
 from .trace import TraceEvent, TraceRecorder
 
 #: Schema version stamped into every postmortem file.
@@ -40,6 +41,14 @@ DEFAULT_RING_SIZE = 256
 #: The postmortem kinds: a shard's own ``crash``; the coordinator's
 #: ``stall`` (lease expired) and ``lost`` (worker died).
 POSTMORTEM_KINDS = ("crash", "stall", "lost")
+
+#: A postmortem file's keys → their JSON kinds (see :mod:`.fields`).
+_POSTMORTEM_SCHEMA = {
+    "schema": "str", "version": "int", "kind": "str", "shard_index": "int",
+    "n_shards": "int", "system": "str", "backend": "str", "reason": "str",
+    "traceback": "str", "last_beat": "object?", "ring_events": "[object]",
+    "ring_dropped": "int", "counters": "{number}",
+}
 
 
 class RingRecorder(TraceRecorder):
@@ -143,7 +152,12 @@ class Postmortem:
 
     @classmethod
     def from_jsonable(cls, payload: Mapping[str, object]) -> "Postmortem":
-        """Inverse of :meth:`to_jsonable`; raises ``ValueError`` on junk."""
+        """Inverse of :meth:`to_jsonable`; one-line ``ValueError`` on junk.
+
+        The header and ``kind`` are checked first, so a file of another
+        kind reads as such; then every key is required with its exact
+        JSON type and no other key may appear (:mod:`.fields`).
+        """
         schema = payload.get("schema")
         if schema != "repro.obs.postmortem":
             raise ValueError(f"not a postmortem payload (schema={schema!r})")
@@ -151,38 +165,15 @@ class Postmortem:
         if version != POSTMORTEM_SCHEMA_VERSION:
             raise ValueError(f"unsupported postmortem version {version!r} "
                              f"(expected {POSTMORTEM_SCHEMA_VERSION})")
-        kind = str(payload.get("kind", ""))
+        kind = payload.get("kind")
         if kind not in POSTMORTEM_KINDS:
             raise ValueError(f"unknown postmortem kind {kind!r} "
                              f"(expected one of {POSTMORTEM_KINDS})")
-        last_beat = payload.get("last_beat")
-        if last_beat is not None and not isinstance(last_beat, dict):
-            raise ValueError("postmortem field 'last_beat' must be an "
-                             f"object or null, got {type(last_beat).__name__}")
-        ring_raw = payload.get("ring_events", [])
-        if not isinstance(ring_raw, list):
-            raise ValueError("postmortem field 'ring_events' must be a "
-                             f"list, got {type(ring_raw).__name__}")
-        counters_raw = payload.get("counters", {})
-        counters: dict[str, float] = {}
-        if isinstance(counters_raw, dict):
-            counters = {str(k): float(v) for k, v in counters_raw.items()
-                        if isinstance(v, (int, float))
-                        and not isinstance(v, bool)}
-        return cls(
-            kind=kind,
-            shard_index=int(payload.get("shard_index", 0)),  # type: ignore[arg-type]
-            n_shards=int(payload.get("n_shards", 1)),  # type: ignore[arg-type]
-            system=str(payload.get("system", "")),
-            backend=str(payload.get("backend", "")),
-            reason=str(payload.get("reason", "")),
-            traceback=str(payload.get("traceback", "")),
-            last_beat=last_beat,
-            ring_events=tuple(row for row in ring_raw
-                              if isinstance(row, dict)),
-            ring_dropped=int(payload.get("ring_dropped", 0)),  # type: ignore[arg-type]
-            counters=counters,
-        )
+        checked = check_object(payload, _POSTMORTEM_SCHEMA, "the postmortem")
+        fields = {key: value for key, value in checked.items()
+                  if key not in ("schema", "version")}
+        fields["ring_events"] = tuple(fields["ring_events"])
+        return cls(**fields)
 
     # -- files --------------------------------------------------------
 
@@ -203,15 +194,7 @@ class Postmortem:
     @classmethod
     def load(cls, path: str | Path) -> "Postmortem":
         """Read one postmortem file back (one-line errors on junk)."""
-        raw = Path(path).read_text(encoding="utf-8")
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: postmortem payload must be an "
-                             f"object, got {type(payload).__name__}")
-        return cls.from_jsonable(payload)
+        return load_object(path, cls.from_jsonable)
 
     # -- human rendering ----------------------------------------------
 

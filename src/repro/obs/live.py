@@ -48,7 +48,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Mapping
+from typing import IO, Callable
 
 from .metrics import MetricsRegistry
 from .resources import peak_rss_bytes
@@ -104,42 +104,6 @@ class ShardBeat:
             "final": self.final,
             "failed": self.failed,
         }
-
-    @classmethod
-    def from_jsonable(cls, payload: Mapping[str, object]) -> "ShardBeat":
-        """Inverse of :meth:`to_jsonable`; raises ``ValueError`` on junk."""
-        def _int(key: str, default: int = 0) -> int:
-            value = payload.get(key, default)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(
-                    f"beat field {key!r} must be an int, "
-                    f"got {type(value).__name__}")
-            return value
-
-        raw_mark = payload.get("watermark_s", 0.0)
-        if isinstance(raw_mark, bool) or not isinstance(raw_mark,
-                                                        (int, float)):
-            raise ValueError("beat field 'watermark_s' must be a number, "
-                             f"got {type(raw_mark).__name__}")
-        counters = payload.get("counters", {})
-        if not isinstance(counters, dict):
-            raise ValueError("beat field 'counters' must be an object, "
-                             f"got {type(counters).__name__}")
-        return cls(
-            shard_index=_int("shard_index"),
-            n_shards=_int("n_shards", 1),
-            seq=_int("seq"),
-            watermark_s=float(raw_mark),
-            done=_int("done"),
-            total=_int("total"),
-            users=_int("users"),
-            events_done=_int("events_done"),
-            counters={str(k): float(v) for k, v in counters.items()
-                      if isinstance(v, (int, float))},
-            rss_bytes=_int("rss_bytes"),
-            final=bool(payload.get("final", False)),
-            failed=bool(payload.get("failed", False)),
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,47 +82,6 @@ class ResourceTelemetry:
         """Timeline events replayed per wall-clock second."""
         return self.events_total / self.elapsed_s if self.elapsed_s else 0.0
 
-    def to_jsonable(self) -> dict[str, object]:
-        """Plain-JSON form (rates included for human readers)."""
-        return {
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "cpu_time_s": self.cpu_time_s,
-            "elapsed_s": self.elapsed_s,
-            "users_total": self.users_total,
-            "events_total": self.events_total,
-            "users_per_sec": self.users_per_sec,
-            "events_per_sec": self.events_per_sec,
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: dict[str, object]) -> "ResourceTelemetry":
-        """Inverse of :meth:`to_jsonable` (derived rates recomputed).
-
-        Missing keys keep their defaults, but a key that is *present*
-        with a wrong-typed value raises a one-line ``ValueError`` —
-        silently coercing malformed telemetry to 0.0 would make a
-        corrupt payload indistinguishable from an idle run.
-        """
-        def _f(key: str) -> float:
-            value = payload.get(key, 0.0)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, float)):
-                raise ValueError(
-                    f"telemetry field {key!r} must be a number, "
-                    f"got {type(value).__name__}")
-            return float(value)
-
-        raw_rss = payload.get("peak_rss_bytes", 0)
-        if isinstance(raw_rss, bool) or not isinstance(raw_rss, int):
-            raise ValueError(
-                "telemetry field 'peak_rss_bytes' must be an int, "
-                f"got {type(raw_rss).__name__}")
-        return cls(peak_rss_bytes=raw_rss,
-                   cpu_time_s=_f("cpu_time_s"),
-                   elapsed_s=_f("elapsed_s"),
-                   users_total=_f("users_total"),
-                   events_total=_f("events_total"))
-
 
 def collect_telemetry(*, elapsed_s: float, users_total: float = 0.0,
                       events_total: float = 0.0) -> ResourceTelemetry:

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, TypedDict, TypeVar
 
-from .fields import check_object
+from .fields import check_object, load_object
 from .ledger import RunRecord, render_record, snapshot_digest
 from .metrics import MetricsSnapshot
 from .profile import RunProfile
@@ -166,16 +166,10 @@ def load_run(path: str | Path) -> RunFile:
                 f"{file.parent}: holds the retired manifest.json layout, "
                 f"not {RUN_FILENAME} — re-run the command to regenerate it")
         raise SummarizeError(f"{file}: missing {RUN_FILENAME}")
-    text = file.read_text(encoding="utf-8")
     try:
-        if not text.strip():
-            raise ValueError(f"empty {RUN_FILENAME}")
-        return _parse(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise SummarizeError(
-            f"{file}: {RUN_FILENAME} is not valid JSON ({exc})") from None
+        return load_object(file, _parse)
     except ValueError as exc:
-        raise SummarizeError(f"{file}: {exc}") from None
+        raise SummarizeError(str(exc)) from None
 
 
 def render_run(path: Path, run: RunFile) -> str:

@@ -29,13 +29,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
+
+from .fields import check_object
 
 #: Trace schema version written into every JSONL header row.
 TRACE_SCHEMA_VERSION = 1
 
 #: Valid event phases: complete span / instant.
 PHASES = ("X", "I")
+
+#: The first row of every JSONL trace.
+_HEADER = {"schema": "repro.obs.trace", "version": TRACE_SCHEMA_VERSION}
 
 #: Seconds → Chrome trace_event microseconds.
 _US = 1e6
@@ -148,108 +153,94 @@ def write_jsonl(events: Sequence[TraceEvent], path: str | Path) -> int:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as fh:
-        header = {"schema": "repro.obs.trace",
-                  "version": TRACE_SCHEMA_VERSION}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        fh.write(json.dumps(_HEADER, sort_keys=True) + "\n")
         for event in events:
             fh.write(json.dumps(event.to_jsonable(), sort_keys=True) + "\n")
     return len(events)
 
 
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
-    """Load a JSONL trace written by :func:`write_jsonl`."""
-    events: list[TraceEvent] = []
-    for row in _iter_rows(path):
-        if "schema" in row:
-            continue
-        args = row.get("args", {})
-        events.append(TraceEvent(
-            ts=float(_num(row.get("ts", 0.0))),
-            phase=str(row.get("ph", "I")),
-            component=str(row.get("comp", "")),
-            name=str(row.get("name", "")),
-            dur=float(_num(row.get("dur", 0.0))),
-            shard=int(_num(row.get("shard", 0))),
-            args=dict(args) if isinstance(args, dict) else {},
-        ))
+    """Load a JSONL trace written by :func:`write_jsonl`.
+
+    Raises a one-line ``ValueError`` naming the line and the key of the
+    first row that fails the schema (see :func:`validate_jsonl`).
+    """
+    events, problems = _scan(path)
+    if problems:
+        raise ValueError(problems[0])
     return events
 
 
-def _num(value: object) -> float:
-    return float(value) if isinstance(value, (int, float)) else 0.0
-
-
-def _iter_rows(path: str | Path) -> Iterable[dict[str, object]]:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                loaded = json.loads(line)
-                if isinstance(loaded, dict):
-                    yield loaded
-
-
-def validate_rows(rows: Iterable[Mapping[str, object]]) -> list[str]:
-    """Validate trace rows against the schema; returns error strings.
-
-    The first row may be the schema header; every other row must carry
-    ``ts``/``ph``/``comp``/``name``/``dur``/``shard`` with the right
-    types, ``ph`` in ``("X", "I")``, non-negative times, and a dict
-    ``args``.
-    """
-    problems: list[str] = []
-    for index, row in enumerate(rows):
-        if index == 0 and row.get("schema") == "repro.obs.trace":
-            if row.get("version") != TRACE_SCHEMA_VERSION:
-                problems.append(
-                    f"row 0: unsupported trace schema version "
-                    f"{row.get('version')!r}")
-            continue
-        where = f"row {index}"
-        for key in ("ts", "ph", "comp", "name", "dur", "shard", "args"):
-            if key not in row:
-                problems.append(f"{where}: missing key {key!r}")
-        ph = row.get("ph")
-        if ph is not None and ph not in PHASES:
-            problems.append(f"{where}: ph must be one of {PHASES}, "
-                            f"got {ph!r}")
-        for key in ("ts", "dur"):
-            value = row.get(key)
-            if value is not None and (
-                    not isinstance(value, (int, float))
-                    or isinstance(value, bool) or value < 0):
-                problems.append(
-                    f"{where}: {key} must be a non-negative number, "
-                    f"got {value!r}")
-        shard = row.get("shard")
-        if shard is not None and (not isinstance(shard, int)
-                                  or isinstance(shard, bool) or shard < 0):
-            problems.append(f"{where}: shard must be a non-negative int, "
-                            f"got {shard!r}")
-        for key in ("comp", "name"):
-            value = row.get(key)
-            if value is not None and (not isinstance(value, str)
-                                      or not value):
-                problems.append(f"{where}: {key} must be a non-empty "
-                                f"string, got {value!r}")
-        args = row.get("args")
-        if args is not None and not isinstance(args, dict):
-            problems.append(f"{where}: args must be an object, "
-                            f"got {type(args).__name__}")
-    return problems
-
-
 def validate_jsonl(path: str | Path) -> list[str]:
-    """Validate a JSONL trace file; returns error strings (empty = ok)."""
+    """Validate a JSONL trace file: one problem per bad row (empty = ok).
+
+    The first line must be the schema header; every other line must be
+    an event row with exactly ``ts``/``ph``/``comp``/``name``/``dur``/
+    ``shard``/``args`` of their JSON kinds, ``ph`` in ``("X", "I")``,
+    non-negative ``ts``/``dur``/``shard`` and non-empty ``comp``/``name``.
+    """
     try:
-        rows = list(_iter_rows(path))
-    except (OSError, json.JSONDecodeError) as exc:
+        return _scan(path)[1]
+    except OSError as exc:
         return [f"{path}: unreadable trace: {exc}"]
-    if not rows:
-        return [f"{path}: empty trace file (missing schema header)"]
-    if rows[0].get("schema") != "repro.obs.trace":
-        return [f"{path}: first row is not the repro.obs.trace header"]
-    return validate_rows(rows)
+
+
+#: An event row's keys → their JSON kinds (see :mod:`.fields`).
+_ROW_SCHEMA = {"ts": "number", "ph": "str", "comp": "str", "name": "str",
+               "dur": "number", "shard": "int", "args": "object"}
+
+
+def _scan(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
+    """The events of trace file ``path`` and one problem per bad row."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        lines = [(number, line) for number, line in enumerate(fh, 1)
+                 if line.strip()]
+    if not lines:
+        return [], [f"{path}: empty trace file (missing schema header)"]
+    events: list[TraceEvent] = []
+    problems: list[str] = []
+    for index, (number, line) in enumerate(lines):
+        try:
+            row = json.loads(line)
+            if index == 0:
+                _check_header(row)
+            else:
+                events.append(_event(row))
+        except json.JSONDecodeError as exc:
+            problems.append(f"{path}: line {number}: not valid JSON ({exc})")
+        except ValueError as exc:
+            problems.append(f"{path}: line {number}: {exc}")
+    return events, problems
+
+
+def _check_header(row: object) -> None:
+    try:
+        header = check_object(row, {"schema": "str", "version": "int"},
+                              "the header")
+    except ValueError as exc:
+        raise ValueError(f"not the repro.obs.trace header ({exc})") from None
+    if header != _HEADER:
+        raise ValueError(f"header is {json.dumps(header, sort_keys=True)}, "
+                         f"expected {json.dumps(_HEADER, sort_keys=True)}")
+
+
+def _event(row: object) -> TraceEvent:
+    """The :class:`TraceEvent` of one checked row (``ValueError``)."""
+    checked = check_object(row, _ROW_SCHEMA, "the row")
+    if checked["ph"] not in PHASES:
+        raise ValueError(f"key 'ph' must be one of {PHASES}, "
+                         f"got {checked['ph']!r}")
+    for key in ("ts", "dur", "shard"):
+        if checked[key] < 0:
+            raise ValueError(f"key {key!r} must be non-negative, "
+                             f"got {checked[key]!r}")
+    for key in ("comp", "name"):
+        if not checked[key]:
+            raise ValueError(f"key {key!r} must be a non-empty string")
+    return TraceEvent(ts=float(checked["ts"]), phase=checked["ph"],
+                      component=checked["comp"], name=checked["name"],
+                      dur=float(checked["dur"]), shard=checked["shard"],
+                      args=checked["args"])
 
 
 # ----------------------------------------------------------------------

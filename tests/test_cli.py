@@ -156,12 +156,35 @@ def test_headline_with_faults_plan(tmp_path, capsys):
     assert _metric_lines(capsys.readouterr().out) == clean
 
 
-def test_faults_flag_rejects_bad_plan(tmp_path):
+def test_faults_flag_rejects_bad_plan(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text('{"loss_prob": 7.0}')
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["headline", "--users", "12", "--days", "6",
               "--train-days", "3", "--faults", str(plan)])
+    assert exc.value.code == 2
+    assert "loss_prob must be in [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text, named", [
+    ("--faults", '{"loss_prob": "0.1"}', "key 'loss_prob'"),
+    ("--faults", '{"loss_prob": 0.1', "not valid JSON"),
+    ("--faults", None, "cannot read"),
+    ("--chaos", "{seed: 1}", "not valid JSON"),
+    ("--chaos", '{"kill_prob": true}', "key 'kill_prob'"),
+])
+def test_bad_plan_file_is_one_line_usage_error(tmp_path, capsys, flag,
+                                               text, named):
+    plan = tmp_path / "plan.json"
+    if text is not None:
+        plan.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["headline", flag, str(plan)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [row for row in err.splitlines() if "error:" in row]
+    assert f"argument {flag}: {plan}: " in line and named in line
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------

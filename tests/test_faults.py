@@ -66,6 +66,22 @@ def test_plan_from_json_file(tmp_path):
         FaultPlan.from_json_file(path)
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"loss_prob": "0.1"}', "key 'loss_prob' must be a number"),
+    ('{"max_retries": 2.5}', "key 'max_retries' must be an integer"),
+    ('{"server_outages": [[0.0, "10"]]}', "key 'server_outages'"),
+    ('{"loss_prob": 0.1', "not valid JSON"),
+])
+def test_plan_file_rejects_malformed_input(tmp_path, text, named):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        FaultPlan.from_json_file(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ") and named in message
+    assert "\n" not in message
+
+
 def test_digest_distinguishes_plans():
     assert FaultPlan().digest() != FaultPlan(loss_prob=0.1).digest()
     assert (FaultPlan(loss_prob=0.1).digest()

@@ -109,6 +109,24 @@ def test_postmortem_load_errors_are_one_line(tmp_path):
         Postmortem.load(bad)
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"shard_index": 1.7}, "key 'shard_index' must be an integer"),
+    ({"ring_dropped": True}, "key 'ring_dropped' must be an integer"),
+    ({"counters": {"a": "5"}}, "key 'counters' entry 'a' must be a number"),
+    ({"ring_events": [1]}, "key 'ring_events' entry 0 must be an object"),
+    ({"last_beat": []}, "key 'last_beat' must be an object"),
+    ({"extra": 1}, "unexpected key 'extra'"),
+])
+def test_postmortem_load_rejects_malformed_fields(tmp_path, change, named):
+    path = _postmortem().write_to(tmp_path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    with pytest.raises(ValueError) as excinfo:
+        Postmortem.load(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ") and named in message
+    assert "\n" not in message
+
+
 def test_postmortem_render_is_readable():
     text = _postmortem().render()
     assert "shard 3/8 [crash]" in text

@@ -45,28 +45,8 @@ class FakeClock:
 
 
 # ---------------------------------------------------------------------
-# ShardBeat record
+# LiveOptions
 # ---------------------------------------------------------------------
-
-
-def test_shard_beat_round_trip():
-    beat = ShardBeat(shard_index=3, n_shards=8, seq=5, watermark_s=86400.0,
-                     done=4, total=10, users=50, events_done=1234,
-                     counters={"throughput.events_total": 17.0},
-                     rss_bytes=1 << 20, final=True)
-    assert ShardBeat.from_jsonable(beat.to_jsonable()) == beat
-
-
-@pytest.mark.parametrize("field,value", [
-    ("shard_index", "three"), ("seq", 1.5), ("watermark_s", "soon"),
-    ("counters", [1, 2]), ("done", True),
-])
-def test_shard_beat_from_jsonable_rejects_wrong_types(field, value):
-    payload = ShardBeat(shard_index=0, n_shards=1, seq=0,
-                        watermark_s=0.0).to_jsonable()
-    payload[field] = value
-    with pytest.raises(ValueError, match=field):
-        ShardBeat.from_jsonable(payload)
 
 
 @pytest.mark.parametrize("kwargs, match", [

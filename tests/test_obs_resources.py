@@ -1,85 +1,16 @@
-"""Property tests for ResourceTelemetry JSON round-tripping.
-
-Satellite of the live-telemetry PR: ``from_jsonable`` must invert
-``to_jsonable`` for every representable telemetry value, and malformed
-payloads must fail with a one-line error naming the bad field instead
-of silently coercing to an idle-looking record.
-"""
+"""repro.obs.resources: sampling the process's resource footprint."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.obs.resources import ResourceTelemetry, collect_telemetry
-
-_seconds = st.floats(min_value=0.0, max_value=1e9,
-                     allow_nan=False, allow_infinity=False)
-_totals = st.floats(min_value=0.0, max_value=1e12,
-                    allow_nan=False, allow_infinity=False)
+from repro.obs.resources import collect_telemetry
 
 
-@given(peak_rss_bytes=st.integers(min_value=0, max_value=2**48),
-       cpu_time_s=_seconds, elapsed_s=_seconds,
-       users_total=_totals, events_total=_totals)
-def test_round_trip_is_identity(peak_rss_bytes, cpu_time_s, elapsed_s,
-                                users_total, events_total):
-    telemetry = ResourceTelemetry(
-        peak_rss_bytes=peak_rss_bytes, cpu_time_s=cpu_time_s,
-        elapsed_s=elapsed_s, users_total=users_total,
-        events_total=events_total)
-    back = ResourceTelemetry.from_jsonable(telemetry.to_jsonable())
-    assert back == telemetry
-    # Derived rates are recomputed, not trusted from the payload.
-    assert math.isclose(back.users_per_sec, telemetry.users_per_sec)
-    assert math.isclose(back.events_per_sec, telemetry.events_per_sec)
-
-
-@given(payload=st.dictionaries(
-    st.sampled_from(["peak_rss_bytes", "cpu_time_s", "elapsed_s",
-                     "users_total", "events_total"]),
-    st.just(None), min_size=0, max_size=5))
-def test_missing_keys_keep_defaults(payload):
-    """Absent keys default; only *present* junk raises (old files load)."""
-    keys = set(payload)
-    clean: dict[str, object] = {}
-    telemetry = ResourceTelemetry.from_jsonable(clean)
-    assert telemetry == ResourceTelemetry()
-    if keys:  # the same keys present-with-junk must raise instead
-        with pytest.raises(ValueError):
-            ResourceTelemetry.from_jsonable({k: None for k in keys})
-
-
-@pytest.mark.parametrize("key", ["cpu_time_s", "elapsed_s",
-                                 "users_total", "events_total"])
-@pytest.mark.parametrize("junk", ["12.5", None, [1.0], {}, True, False])
-def test_wrong_typed_number_raises_one_line(key, junk):
-    payload = ResourceTelemetry().to_jsonable()
-    payload[key] = junk
-    with pytest.raises(ValueError) as excinfo:
-        ResourceTelemetry.from_jsonable(payload)
-    message = str(excinfo.value)
-    assert key in message and "must be a number" in message
-    assert "\n" not in message
-
-
-@pytest.mark.parametrize("junk", ["4096", 12.5, None, True])
-def test_wrong_typed_rss_raises_one_line(junk):
-    payload = ResourceTelemetry().to_jsonable()
-    payload["peak_rss_bytes"] = junk
-    with pytest.raises(ValueError) as excinfo:
-        ResourceTelemetry.from_jsonable(payload)
-    message = str(excinfo.value)
-    assert "peak_rss_bytes" in message and "must be an int" in message
-    assert "\n" not in message
-
-
-def test_collected_telemetry_round_trips():
+def test_collect_telemetry_samples_positive_rss_and_cpu():
     telemetry = collect_telemetry(elapsed_s=1.5, users_total=10,
                                   events_total=2000)
-    back = ResourceTelemetry.from_jsonable(telemetry.to_jsonable())
-    assert back == telemetry
-    assert back.events_per_sec == pytest.approx(2000 / 1.5)
+    # getrusage is available on the platforms CI runs on.
+    assert telemetry.peak_rss_bytes > 0
+    assert telemetry.cpu_time_s > 0
+    assert telemetry.events_per_sec == pytest.approx(2000 / 1.5)

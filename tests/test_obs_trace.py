@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.obs.trace import (
     NULL_RECORDER,
     TRACE_SCHEMA_VERSION,
@@ -14,7 +16,6 @@ from repro.obs.trace import (
     read_jsonl,
     to_chrome,
     validate_jsonl,
-    validate_rows,
     write_chrome,
     write_jsonl,
 )
@@ -104,28 +105,59 @@ class TestJsonl:
         write_jsonl(_sample_events(), path)
         assert validate_jsonl(path) == []
 
-    def test_validate_rejects_bad_rows(self):
-        header = {"schema": "repro.obs.trace",
-                  "version": TRACE_SCHEMA_VERSION}
+    def test_validate_rejects_bad_rows(self, tmp_path):
         ok = _sample_events()[0].to_jsonable()
         bad_phase = dict(ok, ph="Z")
         negative_ts = dict(ok, ts=-1.0)
         missing = {k: v for k, v in ok.items() if k != "comp"}
-        problems = validate_rows([header, bad_phase, negative_ts, missing])
-        text = "\n".join(problems)
-        assert "ph must be one of" in text
-        assert "ts must be a non-negative number" in text
-        assert "missing key 'comp'" in text
+        path = tmp_path / "trace.jsonl"
+        _write_rows(path, [_HEADER, ok, bad_phase, negative_ts, missing])
+        with path.open("a") as fh:
+            fh.write("{not json\n")
+        problems = validate_jsonl(path)
+        assert problems[:3] == [
+            f"{path}: line 3: key 'ph' must be one of ('X', 'I'), got 'Z'",
+            f"{path}: line 4: key 'ts' must be non-negative, got -1.0",
+            f"{path}: line 5: missing key 'comp'",
+        ]
+        (last,) = problems[3:]
+        assert last.startswith(f"{path}: line 6: not valid JSON (")
 
     def test_validate_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(json.dumps(_sample_events()[0].to_jsonable()) + "\n")
         assert any("header" in p for p in validate_jsonl(path))
 
-    def test_validate_rejects_wrong_version(self):
-        problems = validate_rows([{"schema": "repro.obs.trace",
-                                   "version": 999}])
-        assert any("version" in p for p in problems)
+    def test_validate_rejects_wrong_version(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        _write_rows(path, [{"schema": "repro.obs.trace", "version": 999}])
+        assert any("version" in p for p in validate_jsonl(path))
+
+    @pytest.mark.parametrize("change, named", [
+        ({"ts": "abc"}, "key 'ts' must be a number, got a string"),
+        ({"ph": "Z"}, "key 'ph' must be one of"),
+        ({"shard": True}, "key 'shard' must be an integer, got a boolean"),
+        ({"comp": ""}, "key 'comp' must be a non-empty string"),
+        ({"args": None}, "key 'args' must be an object, got null"),
+        ({"extra": 1}, "unexpected key 'extra'"),
+    ])
+    def test_read_rejects_malformed_row(self, tmp_path, change, named):
+        rows = [event.to_jsonable() for event in _sample_events()]
+        rows[1] = {**rows[1], **change}
+        path = tmp_path / "trace.jsonl"
+        _write_rows(path, [_HEADER, *rows])
+        with pytest.raises(ValueError) as excinfo:
+            read_jsonl(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: line 3: ") and named in message
+        assert validate_jsonl(path) == [message]
+
+
+_HEADER = {"schema": "repro.obs.trace", "version": TRACE_SCHEMA_VERSION}
+
+
+def _write_rows(path: Path, rows: list[dict[str, object]]) -> None:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
 class TestChromeExport:
