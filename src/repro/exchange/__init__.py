@@ -1,6 +1,6 @@
 """S7 — ad exchange: campaigns, second-price auctions, deferred billing."""
 
-from .auction import AuctionConfig, AuctionOutcome, run_auction, run_bulk_auctions
+from .auction import AuctionConfig, run_auctions
 from .campaign import ANY, Campaign, CampaignPoolConfig, build_campaigns
 from .marketplace import Exchange, Sale
 
@@ -10,9 +10,7 @@ __all__ = [
     "build_campaigns",
     "ANY",
     "AuctionConfig",
-    "AuctionOutcome",
-    "run_auction",
-    "run_bulk_auctions",
+    "run_auctions",
     "Exchange",
     "Sale",
 ]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .campaign import Campaign
-
 
 @dataclass(frozen=True, slots=True)
 class AuctionConfig:
@@ -31,96 +29,50 @@ class AuctionConfig:
             raise ValueError("max_bidders must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class AuctionOutcome:
-    """Result of one auction. ``winner`` is ``None`` when unsold."""
+def run_auctions(bids: np.ndarray, eligible: np.ndarray, count: int,
+                 config: AuctionConfig,
+                 rng: np.random.Generator) -> list[tuple[int, float] | None]:
+    """Run ``count`` independent second-price auctions over ``eligible``.
 
-    winner: Campaign | None
-    price: float
-    n_bidders: int
+    ``bids`` holds every campaign's base bid and ``eligible`` the rows
+    of the campaigns that target the slots. Each auction samples at
+    most ``max_bidders`` of them (real exchanges shard demand; one
+    ``rng.choice`` per auction, drawn only when the pool is larger),
+    then one lognormal matrix jitters every participant's bid. Jittered
+    bids below the reserve are dropped; the highest bid wins and pays
+    the second-highest, floored at the reserve, or the reserve alone
+    when it is the only bid left.
 
-    @property
-    def sold(self) -> bool:
-        return self.winner is not None
-
-
-def run_auction(eligible: list[Campaign], config: AuctionConfig,
-                rng: np.random.Generator) -> AuctionOutcome:
-    """Run one second-price auction over ``eligible`` campaigns.
-
-    A random subset of at most ``max_bidders`` campaigns participates
-    (real exchanges shard demand); jittered bids below the reserve are
-    dropped. The winner is *not* charged here — the caller settles
-    payment, because in prefetch mode payment is contingent on display.
-    """
-    if not eligible:
-        return AuctionOutcome(winner=None, price=0.0, n_bidders=0)
-    if len(eligible) > config.max_bidders:
-        picks = rng.choice(len(eligible), size=config.max_bidders,
-                           replace=False)
-        bidders = [eligible[int(i)] for i in picks]
-    else:
-        bidders = eligible
-    base = np.array([c.bid for c in bidders])
-    jitter = rng.lognormal(mean=0.0, sigma=config.bid_jitter_sigma,
-                           size=base.size)
-    bids = base * jitter
-    live = bids >= config.reserve_price
-    if not live.any():
-        return AuctionOutcome(winner=None, price=0.0, n_bidders=len(bidders))
-    bids = np.where(live, bids, -np.inf)
-    order = np.argsort(bids)
-    win_idx = int(order[-1])
-    if live.sum() >= 2:
-        second = float(bids[order[-2]])
-        price = max(second, config.reserve_price)
-    else:
-        price = config.reserve_price
-    return AuctionOutcome(winner=bidders[win_idx], price=price,
-                          n_bidders=len(bidders))
-
-
-def run_bulk_auctions(eligible: list[Campaign], count: int,
-                      config: AuctionConfig,
-                      rng: np.random.Generator) -> list[AuctionOutcome]:
-    """Run ``count`` independent auctions over the same eligible set.
-
-    Vectorised across auctions: used when the ad server sells a whole
-    epoch's predicted inventory at once. Budget attrition within the
-    batch is handled by the caller (budgets are large relative to one
-    epoch's spend).
+    Returns one ``(winner row, price)`` per auction, or ``None`` when no
+    bid clears the reserve. The winner is *not* charged here — the
+    caller settles payment, because in prefetch mode payment is
+    contingent on display.
     """
     if count <= 0:
         return []
-    if not eligible:
-        return [AuctionOutcome(None, 0.0, 0)] * count
-    n_bidders = min(len(eligible), config.max_bidders)
-    bids_base = np.array([c.bid for c in eligible])
-    outcomes: list[AuctionOutcome] = []
-    # One (count, n_bidders) matrix of participants and jittered bids.
-    if len(eligible) > config.max_bidders:
-        participant_idx = np.stack([
-            rng.choice(len(eligible), size=n_bidders, replace=False)
-            for _ in range(count)
-        ])
+    n = eligible.size
+    if n == 0:
+        return [None] * count
+    if n > config.max_bidders:
+        picks = np.empty((count, config.max_bidders), dtype=np.intp)
+        for auction in range(count):
+            picks[auction] = rng.choice(n, size=config.max_bidders,
+                                        replace=False)
+        bidders = eligible[picks]
     else:
-        participant_idx = np.tile(np.arange(len(eligible)), (count, 1))
-    jitter = rng.lognormal(0.0, config.bid_jitter_sigma,
-                           size=(count, n_bidders))
-    bids = bids_base[participant_idx] * jitter
-    bids[bids < config.reserve_price] = -np.inf
-    order = np.argsort(bids, axis=1)
-    for row in range(count):
-        row_bids = bids[row]
-        live = np.isfinite(row_bids).sum()
-        if live == 0:
-            outcomes.append(AuctionOutcome(None, 0.0, n_bidders))
+        bidders = eligible[None, :].repeat(count, axis=0)
+    jittered = bids[bidders] * rng.lognormal(
+        0.0, config.bid_jitter_sigma, size=bidders.shape)
+    jittered[jittered < config.reserve_price] = -np.inf
+    # Per auction the columns of its two highest bids, lowest first; a
+    # lone bidder has no second bid, and -inf floors to the reserve.
+    top = np.argsort(jittered, axis=1)[:, -2:].tolist()
+    reserve = config.reserve_price
+    results: list[tuple[int, float] | None] = []
+    for cols, rows, values in zip(top, bidders.tolist(), jittered.tolist()):
+        if values[cols[-1]] == -np.inf:
+            results.append(None)
             continue
-        win_col = int(order[row, -1])
-        if live >= 2:
-            price = max(float(row_bids[order[row, -2]]), config.reserve_price)
-        else:
-            price = config.reserve_price
-        winner = eligible[int(participant_idx[row, win_col])]
-        outcomes.append(AuctionOutcome(winner, price, n_bidders))
-    return outcomes
+        second = values[cols[0]] if len(cols) == 2 else -np.inf
+        results.append((rows[cols[-1]], max(second, reserve)))
+    return results

@@ -12,6 +12,12 @@ Sits between the ad server and the demand side. Two selling paths exist:
   until the impression is actually rendered (:meth:`settle_shown`);
   undelivered impressions are voided and refunded
   (:meth:`settle_violated`).
+
+Both paths find their bidders without touching campaign objects: bids,
+targeting and an active flag per campaign live in arrays, and the rows
+eligible for a slot context are one cached ``flatnonzero``. Both then
+run the one second-price rule, :func:`~repro.exchange.auction.run_auctions`.
+Both execution backends sell through this class.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from repro.obs.runtime import current_obs
 
-from .auction import AuctionConfig, AuctionOutcome, run_auction, run_bulk_auctions
+from .auction import AuctionConfig, run_auctions
 from .campaign import ANY, Campaign
 
 
@@ -45,6 +51,14 @@ class Sale:
 
 class Exchange:
     """Marketplace facade over a campaign population.
+
+    Bids and targeting are immutable, so they are read into arrays once,
+    and each campaign's active bit (``Campaign.active``: it can still
+    afford its own bid) is kept in lockstep with the campaign objects:
+    re-read after every charge and refund, which only this class makes.
+    The eligible rows of each slot context are cached until some
+    campaign's active bit flips — roughly once per campaign per run,
+    against one auction per slot.
 
     Parameters
     ----------
@@ -69,9 +83,19 @@ class Exchange:
         self.auction_config = auction_config
         self.rng = rng
         self.component = component
-        self._by_id = {c.campaign_id: c for c in self.campaigns}
-        if len(self._by_id) != len(self.campaigns):
+        self._row_of = {c.campaign_id: row
+                        for row, c in enumerate(self.campaigns)}
+        if len(self._row_of) != len(self.campaigns):
             raise ValueError("duplicate campaign ids")
+        self._bids = np.array([c.bid for c in self.campaigns], dtype=float)
+        self._categories = np.array([c.category for c in self.campaigns],
+                                    dtype=str)
+        self._platforms = np.array([c.platform for c in self.campaigns],
+                                   dtype=str)
+        self._active = np.array([c.active for c in self.campaigns],
+                                dtype=bool)
+        self._target_masks: dict[tuple[str | None, str], np.ndarray] = {}
+        self._eligible: dict[tuple[str | None, str], np.ndarray] = {}
         self._sale_ids = itertools.count()
         # Revenue ledger.
         self.billed_revenue = 0.0        # actually collected
@@ -91,16 +115,44 @@ class Exchange:
     # Demand-side views
     # ------------------------------------------------------------------
 
+    def _eligible_rows(self, category: str | None,
+                       platform: str) -> np.ndarray:
+        """Rows of the active campaigns targeting a slot context.
+
+        ``category=None`` matches every category: predicted slots have
+        no app context yet.
+        """
+        key = (category, platform)
+        rows = self._eligible.get(key)
+        if rows is None:
+            mask = self._target_masks.get(key)
+            if mask is None:
+                mask = (self._platforms == ANY) | (self._platforms == platform)
+                if category is not None:
+                    mask &= ((self._categories == ANY)
+                             | (self._categories == category))
+                self._target_masks[key] = mask
+            rows = np.flatnonzero(mask & self._active)
+            self._eligible[key] = rows
+        return rows
+
+    def _sync(self, row: int) -> None:
+        """Re-read one campaign's active bit after a charge or refund."""
+        active = self.campaigns[row].active
+        if active != self._active.item(row):
+            self._active[row] = active
+            self._eligible.clear()
+
     def eligible(self, category: str = ANY, platform: str = ANY) -> list[Campaign]:
         """Active campaigns targeting the given slot context."""
-        return [c for c in self.campaigns
-                if c.active and c.matches(category, platform)]
+        return [self.campaigns[row] for row
+                in self._eligible_rows(category, platform).tolist()]
 
     def active_campaigns(self) -> int:
-        return sum(1 for c in self.campaigns if c.active)
+        return int(self._active.sum())
 
     def campaign(self, campaign_id: str) -> Campaign:
-        return self._by_id[campaign_id]
+        return self.campaigns[self._row_of[campaign_id]]
 
     # ------------------------------------------------------------------
     # Selling
@@ -113,15 +165,12 @@ class Exchange:
         The winner is billed on the spot (display is guaranteed).
         Returns ``None`` when the auction does not clear.
         """
-        outcome = run_auction(self.eligible(category, platform),
-                              self.auction_config, self.rng)
-        self._auction_counter.inc()
-        if not outcome.sold:
-            self.unsold_count += 1
+        sales = self._sell(now, self._eligible_rows(category, platform), 1,
+                           deadline=float("inf"))
+        if not sales:
             return None
-        sale = self._record(outcome, now, deadline=float("inf"))
-        outcome.winner.charge(outcome.price)
-        self.billed_revenue += outcome.price
+        sale = sales[0]
+        self.billed_revenue += sale.price
         if self._recorder.enabled:
             self._recorder.instant(
                 now, self.component, "auction.now",
@@ -141,40 +190,48 @@ class Exchange:
         # Predicted slots have no app context yet; campaigns treat them
         # as run-of-network inventory for the user's platform, so
         # category targeting does not filter the bidder pool here.
-        eligible = [c for c in self.campaigns
-                    if c.active and (c.platform in (ANY, platform))]
-        outcomes = run_bulk_auctions(eligible, count,
-                                     self.auction_config, self.rng)
-        self._auction_counter.inc(len(outcomes))
-        sales = []
-        for outcome in outcomes:
-            if not outcome.sold:
-                self.unsold_count += 1
-                continue
-            # Commit the budget now; billing waits for delivery.
-            outcome.winner.charge(outcome.price)
-            sales.append(self._record(outcome, now, deadline))
+        sales = self._sell(now, self._eligible_rows(None, platform), count,
+                           deadline)
         if self._recorder.enabled:
             self._recorder.instant(
                 now, self.component, "auction.ahead",
                 args={"n_offered": count, "n_sold": len(sales)})
         return sales
 
-    def _record(self, outcome: AuctionOutcome, now: float,
-                deadline: float) -> Sale:
-        sale = Sale(
-            sale_id=next(self._sale_ids),
-            campaign_id=outcome.winner.campaign_id,
-            price=outcome.price,
-            creative_bytes=outcome.winner.creative_bytes,
-            sold_at=now,
-            deadline=deadline,
-        )
-        self.booked_revenue += outcome.price
-        self.sales_count += 1
-        self._sold_counter.inc()
-        self._price_hist.observe(outcome.price)
-        return sale
+    def _sell(self, now: float, rows: np.ndarray, count: int,
+              deadline: float) -> list[Sale]:
+        """Auction ``count`` slots among ``rows`` and book every sale.
+
+        All auctions clear before any winner pays, so budget attrition
+        within one batch does not shrink its bidder pool (budgets are
+        large relative to one epoch's spend). Each winner's budget is
+        committed at once; billing is the caller's.
+        """
+        results = run_auctions(self._bids, rows, count,
+                               self.auction_config, self.rng)
+        self._auction_counter.inc(len(results))
+        sales = []
+        for result in results:
+            if result is None:
+                self.unsold_count += 1
+                continue
+            row, price = result
+            winner = self.campaigns[row]
+            winner.charge(price)
+            self._sync(row)
+            sales.append(Sale(
+                sale_id=next(self._sale_ids),
+                campaign_id=winner.campaign_id,
+                price=price,
+                creative_bytes=winner.creative_bytes,
+                sold_at=now,
+                deadline=deadline,
+            ))
+            self.booked_revenue += price
+            self.sales_count += 1
+            self._sold_counter.inc()
+            self._price_hist.observe(price)
+        return sales
 
     # ------------------------------------------------------------------
     # Settlement (prefetch path only)
@@ -190,9 +247,12 @@ class Exchange:
     def settle_violated(self, sale: Sale) -> None:
         """Void a deferred sale that missed its deadline (SLA violation).
 
-        The advertiser gets its committed budget back.
+        The advertiser gets its committed budget back, which may return
+        an exhausted campaign to the market.
         """
-        self._by_id[sale.campaign_id].refund(sale.price)
+        row = self._row_of[sale.campaign_id]
+        self.campaigns[row].refund(sale.price)
+        self._sync(row)
         self.voided_revenue += sale.price
 
     # ------------------------------------------------------------------

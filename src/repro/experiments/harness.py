@@ -53,7 +53,7 @@ from repro.prediction.base import epochs_per_day, make_predictor
 from repro.prediction.models import OraclePredictor
 from repro.radio.profiles import RadioProfile, get_profile
 from repro.server.adserver import AdServer
-from repro.sim.batched import BatchedAdServer, BatchedExchange, LogDevice
+from repro.sim.batched import BatchedAdServer, LogDevice
 from repro.sim.rng import RngRegistry
 from repro.traces.generator import TraceConfig, TraceGenerator
 from repro.traces.schema import Trace
@@ -235,8 +235,9 @@ def execute_shard(job: ShardJob) -> ShardExecution:
     Dispatches each requested serving mode to the event-driven engine
     or the vectorized batched engine. The cross-user protocol order
     (server dispatch, auctions, rescue) is event-driven on both
-    backends; the batched backend replaces the per-user/per-campaign
-    hot paths with array operations (see :mod:`repro.sim.batched`).
+    backends; the batched backend replaces the per-user radio and
+    rescue hot paths with array operations (see
+    :mod:`repro.sim.batched`).
 
     Purity contract: this function and everything it reaches must be a
     pure function of ``job`` — no module-global writes, environment
@@ -254,8 +255,7 @@ def execute_shard(job: ShardJob) -> ShardExecution:
 
 def _build_exchange(config: ExperimentConfig, registry: RngRegistry,
                     stream: str, rng_tag: str = "",
-                    component: str = "exchange",
-                    exchange_cls: type[Exchange] = Exchange) -> Exchange:
+                    component: str = "exchange") -> Exchange:
     """Build a marketplace on tagged RNG streams.
 
     ``rng_tag`` namespaces the campaign and auction streams per shard so
@@ -266,16 +266,15 @@ def _build_exchange(config: ExperimentConfig, registry: RngRegistry,
     """
     campaigns = build_campaigns(config.campaign_config(),
                                 registry.fresh("campaigns" + rng_tag))
-    return exchange_cls(campaigns, config.auction_config(),
-                        registry.fresh(stream + rng_tag),
-                        component=component)
+    return Exchange(campaigns, config.auction_config(),
+                    registry.fresh(stream + rng_tag), component=component)
 
 
 def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
     """Run the prefetch system over one user subset (a shard).
 
     Identical epoch loop on both backends; the batched backend swaps in
-    the vectorized exchange/server/device components.
+    the vectorized server and device components.
     """
     config = job.config
     timelines = job.timelines
@@ -283,7 +282,6 @@ def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
     assert counts is not None  # enforced by ShardJob.__post_init__
     rng_tag = job.rng_tag
     batched = job.backend == "batched"
-    exchange_cls = BatchedExchange if batched else Exchange
     server_cls = BatchedAdServer if batched else AdServer
     device_cls = LogDevice if batched else Device
 
@@ -301,7 +299,7 @@ def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
         predictors[uid] = predictor
 
     exchange = _build_exchange(config, registry, "exchange-prefetch",
-                               rng_tag, exchange_cls=exchange_cls)
+                               rng_tag)
     policy = make_policy(config.policy, **config.policy_kwargs_full())
     server = server_cls(config.server_config(), exchange, policy, predictors,
                         registry.fresh("dispatch" + rng_tag))
@@ -417,8 +415,7 @@ def _execute_realtime(job: ShardJob) -> RealtimeOutcome:
     registry = RngRegistry(config.seed)
     exchange = _build_exchange(
         config, registry, "exchange-realtime", job.rng_tag,
-        component="realtime.exchange",
-        exchange_cls=BatchedExchange if batched else Exchange)
+        component="realtime.exchange")
     per_day = epochs_per_day(config.epoch_s)
     start = config.train_days * per_day * config.epoch_s
     injector = make_injector(config.faults, config.seed, job.horizon)

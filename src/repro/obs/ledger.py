@@ -216,7 +216,8 @@ class LedgerError(ValueError):
 class Ledger:
     """Append-only JSONL ledger of :class:`RunRecord` rows.
 
-    The file starts with a schema header row; every append re-reads the
+    The file starts with a schema header row, checked on line 1; a
+    header row on any later line is an error. Every append re-reads the
     current tail to assign the next ``seq``, so concurrent benchmark
     processes interleave without ever renumbering existing rows.
     """
@@ -243,19 +244,28 @@ class Ledger:
             if not isinstance(row, dict):
                 raise LedgerError(
                     f"{self.path}: line {index + 1} is not a JSON object")
-            if row.get("schema") == LEDGER_SCHEMA_NAME:
-                if row.get("version") != LEDGER_SCHEMA_VERSION:
-                    raise LedgerError(
-                        f"{self.path}: unsupported ledger schema version "
-                        f"{row.get('version')!r} (expected "
-                        f"{LEDGER_SCHEMA_VERSION})")
-                continue
             try:
-                records.append(RunRecord.from_jsonable(row))
+                if "schema" not in row:
+                    records.append(RunRecord.from_jsonable(row))
+                elif index == 0:
+                    self._check_header(row)
+                else:
+                    raise ValueError("schema header row after line 1")
             except ValueError as exc:
                 raise LedgerError(
                     f"{self.path}: line {index + 1}: {exc}") from None
         return records
+
+    @staticmethod
+    def _check_header(row: dict) -> None:
+        check_object(row, {"schema": "str", "version": "int"}, "the header")
+        if row["schema"] != LEDGER_SCHEMA_NAME:
+            raise ValueError(f"schema {row['schema']!r} is not "
+                             f"{LEDGER_SCHEMA_NAME!r}")
+        if row["version"] != LEDGER_SCHEMA_VERSION:
+            raise ValueError(f"unsupported ledger schema version "
+                             f"{row['version']!r} (expected "
+                             f"{LEDGER_SCHEMA_VERSION})")
 
     def append(self, record: RunRecord) -> RunRecord:
         """Append ``record`` (stamped with the next ``seq``) and return it."""

@@ -1,24 +1,24 @@
 """Vectorized shard-execution backend (``ShardJob.backend == "batched"``).
 
-The event-driven engine charges every radio transfer, auction, and
-rescue through per-object Python dispatch. That is the executable
-specification — easy to audit against the paper — but it caps
-single-shard throughput. This module supplies drop-in components that
-keep the *protocol order* identical (server dispatch, auctions, and
-rescue still happen event by event, because cross-user interaction
-order matters there) while turning the per-user and per-campaign hot
-loops into array operations:
+The event-driven engine charges every radio transfer and rescue through
+per-object Python dispatch. That is the executable specification — easy
+to audit against the paper — but it caps single-shard throughput. This
+module supplies drop-in components that keep the *protocol order*
+identical (server dispatch, auctions, and rescue still happen event by
+event, because cross-user interaction order matters there) while
+turning the per-user hot loops into array operations:
 
 * :class:`LogDevice` — records transfers and settles radio energy
   vectorially at the end of the run instead of running the
   :class:`~repro.radio.statemachine.RadioStateMachine` per transfer.
-* :class:`BatchedExchange` — campaign eligibility as boolean masks over
-  bid/budget arrays instead of a per-auction list comprehension that
-  touches every campaign object.
 * :class:`BatchedAdServer` — the at-risk rescue scan over flat deadline
   arrays instead of re-heapifying the at-risk heap on every dry cache.
 * :class:`CachedCurve` — memoizes saturated show-curve buckets, which
   the dispatch policy queries hundreds of times per epoch.
+
+Auctions are not a backend choice: both backends sell through the one
+array-backed :class:`~repro.exchange.marketplace.Exchange`.
+``BatchedExchange`` survives only as an alias of it.
 
 Equivalence contract
 --------------------
@@ -53,12 +53,11 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro.core.showcurve import MAX_DEPTH, DispatchCurve
-from repro.exchange.campaign import ANY, Campaign
 from repro.exchange.marketplace import Exchange, Sale
 from repro.obs.runtime import current_obs
 from repro.radio.profiles import RadioProfile
@@ -260,261 +259,9 @@ class LogDevice:
         return len(self._req)
 
 
-# ----------------------------------------------------------------------
-# Exchange: array-backed campaign eligibility
-# ----------------------------------------------------------------------
-
-
-class _EligibleView(Sequence[Campaign]):
-    """Lazy list-like view over the eligible campaign indices.
-
-    :func:`~repro.exchange.auction.run_auction` only indexes at most
-    ``max_bidders`` entries, so the view avoids materialising (and
-    touching) every eligible campaign object per auction.
-    """
-
-    __slots__ = ("_campaigns", "_idx")
-
-    def __init__(self, campaigns: list[Campaign], idx: np.ndarray) -> None:
-        self._campaigns = campaigns
-        self._idx = idx
-
-    def __len__(self) -> int:
-        return int(self._idx.size)
-
-    def __bool__(self) -> bool:
-        return self._idx.size > 0
-
-    def __getitem__(self, i: int) -> Campaign:
-        return self._campaigns[self._idx[i]]
-
-    def __iter__(self) -> Iterator[Campaign]:
-        campaigns = self._campaigns
-        for i in self._idx.tolist():
-            yield campaigns[i]
-
-
-class BatchedExchange(Exchange):
-    """Exchange whose demand-side views are boolean-mask lookups.
-
-    Budgets live in a float array kept in lockstep with the campaign
-    objects (resynced from ``budget - spent`` after every charge or
-    refund, so the array compare is the same float compare the
-    ``Campaign.active`` property performs). Targeting is immutable, so
-    per-(category, platform) masks are computed once. Auctions consume
-    the shared RNG stream exactly like the base class — same eligible
-    order, same lengths, same draws — so sale sequences are identical.
-    """
-
-    def __init__(self, campaigns: list[Campaign], auction_config,
-                 rng: np.random.Generator,
-                 component: str = "exchange") -> None:
-        super().__init__(campaigns, auction_config, rng,
-                         component=component)
-        self._bids = np.array([c.bid for c in self.campaigns])
-        self._remaining = np.array([c.budget - c.spent
-                                    for c in self.campaigns])
-        self._categories = np.array([c.category for c in self.campaigns])
-        self._platforms = np.array([c.platform for c in self.campaigns])
-        self._index_of = {c.campaign_id: i
-                          for i, c in enumerate(self.campaigns)}
-        self._target_masks: dict[tuple[str, str], np.ndarray] = {}
-        self._active_flags = self._remaining >= self._bids
-        # flatnonzero(target & active) per (category, platform), valid
-        # until any campaign's active bit flips (rare: roughly once per
-        # campaign per run, vs one auction per slot).
-        self._eligible_idx: dict[tuple[str, str], np.ndarray] = {}
-
-    # -- bookkeeping --------------------------------------------------
-
-    def _set_remaining(self, row: int, value: float) -> None:
-        self._remaining[row] = value
-        active = value >= self._bids[row]
-        if active != self._active_flags[row]:
-            self._active_flags[row] = active
-            self._eligible_idx.clear()
-
-    def _resync(self, campaign: Campaign) -> None:
-        self._set_remaining(self._index_of[campaign.campaign_id],
-                            campaign.budget - campaign.spent)
-
-    def _eligible_rows(self, category: str, platform: str) -> np.ndarray:
-        key = (category, platform)
-        idx = self._eligible_idx.get(key)
-        if idx is None:
-            idx = np.flatnonzero(self._target_mask(category, platform)
-                                 & self._active_flags)
-            self._eligible_idx[key] = idx
-        return idx
-
-    def _target_mask(self, category: str, platform: str) -> np.ndarray:
-        key = (category, platform)
-        mask = self._target_masks.get(key)
-        if mask is None:
-            mask = (((self._categories == ANY)
-                     | (self._categories == category))
-                    & ((self._platforms == ANY)
-                       | (self._platforms == platform)))
-            self._target_masks[key] = mask
-        return mask
-
-    # -- demand-side views --------------------------------------------
-
-    def eligible(self, category: str = ANY,
-                 platform: str = ANY) -> _EligibleView:
-        return _EligibleView(self.campaigns,
-                             self._eligible_rows(category, platform))
-
-    def active_campaigns(self) -> int:
-        return int(self._active_flags.sum())
-
-    # -- selling ------------------------------------------------------
-
-    def sell_now(self, now: float, category: str = ANY,
-                 platform: str = ANY) -> Sale | None:
-        """Real-time auction, inlined over the bid/budget arrays.
-
-        This is the hottest call in a shard (one per on-screen slot on
-        both the real-time baseline and the prefetch fallback path), so
-        it reimplements ``Exchange.sell_now`` +
-        :func:`~repro.exchange.auction.run_auction` without building the
-        per-auction bidder list. RNG discipline: the stream sees the
-        same calls with the same arguments in the same order as the
-        event path — ``choice`` only when the pool exceeds
-        ``max_bidders``, then one sized ``lognormal`` — and the
-        winner/price arithmetic reuses the identical numpy expressions,
-        so sales and prices are bit-identical.
-        """
-        config = self.auction_config
-        idx = self._eligible_rows(category, platform)
-        n = int(idx.size)
-        self._auction_counter.inc()
-        if n == 0:
-            self.unsold_count += 1
-            return None
-        if n > config.max_bidders:
-            picks = self.rng.choice(n, size=config.max_bidders,
-                                    replace=False)
-            bidder_idx = idx[picks]
-        else:
-            bidder_idx = idx
-        base = self._bids[bidder_idx]
-        jitter = self.rng.lognormal(mean=0.0, sigma=config.bid_jitter_sigma,
-                                    size=base.size)
-        bids = base * jitter
-        live = bids >= config.reserve_price
-        n_live = int(live.sum())
-        if n_live == 0:
-            self.unsold_count += 1
-            return None
-        bids = np.where(live, bids, -np.inf)
-        order = np.argsort(bids)
-        row = int(bidder_idx[order[-1]])
-        if n_live >= 2:
-            price = max(float(bids[order[-2]]), config.reserve_price)
-        else:
-            price = config.reserve_price
-        winner = self.campaigns[row]
-        # Inlined Exchange._record + the sell_now settlement.
-        sale = Sale(sale_id=next(self._sale_ids),
-                    campaign_id=winner.campaign_id, price=price,
-                    creative_bytes=winner.creative_bytes,
-                    sold_at=now, deadline=float("inf"))
-        self.booked_revenue += price
-        self.sales_count += 1
-        self._sold_counter.inc()
-        self._price_hist.observe(price)
-        winner.charge(price)
-        self.billed_revenue += price
-        self._set_remaining(row, winner.budget - winner.spent)
-        if self._recorder.enabled:
-            self._recorder.instant(
-                now, self.component, "auction.now",
-                args={"sale": sale.sale_id, "campaign": sale.campaign_id})
-        return sale
-
-    def sell_ahead(self, now: float, count: int, deadline: float,
-                   platform: str = ANY) -> list[Sale]:
-        """Epoch bulk sale, vectorized over the campaign arrays.
-
-        Replicates ``Exchange.sell_ahead`` +
-        :func:`~repro.exchange.auction.run_bulk_auctions` with the
-        bidder pool taken from the active-flag array instead of the
-        per-campaign list comprehension. RNG consumption (one ``choice``
-        per offered slot when the pool exceeds ``max_bidders``, then a
-        single jitter matrix) and the winner/price arithmetic are the
-        identical numpy expressions, so the sale sequence is
-        bit-identical.
-        """
-        if deadline <= now:
-            raise ValueError("deadline must be after the sale time")
-        config = self.auction_config
-        rng = self.rng
-        sales: list[Sale] = []
-        if count <= 0:
-            self._auction_counter.inc(0)
-        else:
-            idx = np.flatnonzero(self._active_flags
-                                 & ((self._platforms == ANY)
-                                    | (self._platforms == platform)))
-            n_eligible = int(idx.size)
-            if n_eligible == 0:
-                self.unsold_count += count
-                self._auction_counter.inc(count)
-            else:
-                n_bidders = min(n_eligible, config.max_bidders)
-                if n_eligible > config.max_bidders:
-                    participant_idx = np.stack([
-                        rng.choice(n_eligible, size=n_bidders,
-                                   replace=False)
-                        for _ in range(count)
-                    ])
-                else:
-                    participant_idx = np.tile(np.arange(n_eligible),
-                                              (count, 1))
-                jitter = rng.lognormal(0.0, config.bid_jitter_sigma,
-                                       size=(count, n_bidders))
-                bids = self._bids[idx][participant_idx] * jitter
-                bids[bids < config.reserve_price] = -np.inf
-                order = np.argsort(bids, axis=1)
-                self._auction_counter.inc(count)
-                campaigns = self.campaigns
-                for row in range(count):
-                    row_bids = bids[row]
-                    live = np.isfinite(row_bids).sum()
-                    if live == 0:
-                        self.unsold_count += 1
-                        continue
-                    win_col = int(order[row, -1])
-                    if live >= 2:
-                        price = max(float(row_bids[order[row, -2]]),
-                                    config.reserve_price)
-                    else:
-                        price = config.reserve_price
-                    crow = int(idx[int(participant_idx[row, win_col])])
-                    winner = campaigns[crow]
-                    # Commit the budget now; billing waits for delivery
-                    # (inlined Exchange._record).
-                    winner.charge(price)
-                    sales.append(Sale(
-                        sale_id=next(self._sale_ids),
-                        campaign_id=winner.campaign_id, price=price,
-                        creative_bytes=winner.creative_bytes,
-                        sold_at=now, deadline=deadline))
-                    self.booked_revenue += price
-                    self.sales_count += 1
-                    self._sold_counter.inc()
-                    self._price_hist.observe(price)
-                    self._set_remaining(crow, winner.budget - winner.spent)
-        if self._recorder.enabled:
-            self._recorder.instant(
-                now, self.component, "auction.ahead",
-                args={"n_offered": count, "n_sold": len(sales)})
-        return sales
-
-    def settle_violated(self, sale: Sale) -> None:
-        super().settle_violated(sale)
-        self._resync(self._by_id[sale.campaign_id])
+# Both backends sell through Exchange; perfbench/adapter.py imports this
+# name and traces its _eligible_rows.
+BatchedExchange = Exchange
 
 
 # ----------------------------------------------------------------------

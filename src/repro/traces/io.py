@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
-from .schema import Session, Trace
+from repro.obs.fields import check_object
+
+from .schema import Session, Trace, UserTrace
 
 _HEADER_KIND = "trace-header"
 _SESSION_KIND = "session"
@@ -49,34 +52,59 @@ def write_trace(trace: Trace, path: str | Path,
     return count
 
 
+_HEADER_SCHEMA = {"kind": "str", "version": "int", "n_days": "int",
+                  "users": "{str}"}
+_SESSION_SCHEMA = {"kind": "str", "user": "str", "app": "str",
+                   "start": "number", "duration": "number"}
+
+
+def _read_row(path: Path, line_no: int, line: str, kind: str,
+              schema: dict[str, str]) -> dict[str, Any]:
+    """The row on line ``line_no``, checked against ``schema``.
+
+    Every fault is one ``ValueError`` naming the file and the line.
+    """
+    where = f"{path}: line {line_no}"
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not valid JSON ({exc})") from None
+    if not isinstance(row, dict) or row.get("kind") != kind:
+        raise ValueError(f"{where}: record kind must be {kind!r}")
+    if kind == _HEADER_KIND and row.get("version") != FORMAT_VERSION:
+        raise ValueError(
+            f"{where}: unsupported trace version {row.get('version')!r}")
+    try:
+        return check_object(row, schema, "the row")
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_trace(path: str | Path) -> Trace:
     """Load a trace written by :func:`write_trace`.
 
     Raises
     ------
     ValueError
-        On a missing/invalid header or an unsupported format version.
+        One line naming the file and line: an empty file, a missing or
+        malformed header, an unsupported format version, or a session
+        row that is not JSON or misses, adds or mistypes a key.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
-        if header.get("kind") != _HEADER_KIND:
-            raise ValueError(f"{path}: missing trace header")
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported trace version {header.get('version')!r}")
-        trace = Trace(n_days=int(header["n_days"]))
-        platforms: dict[str, str] = dict(header.get("users", {}))
+        header = _read_row(path, 1, header_line, _HEADER_KIND,
+                           _HEADER_SCHEMA)
+        trace = Trace(n_days=header["n_days"])
+        platforms: dict[str, str] = dict(header["users"])
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("kind") != _SESSION_KIND:
-                raise ValueError(f"{path}:{line_no}: unexpected record kind")
+            record = _read_row(path, line_no, line, _SESSION_KIND,
+                               _SESSION_SCHEMA)
             session = Session(
                 user_id=record["user"],
                 app_id=record["app"],
@@ -86,7 +114,6 @@ def read_trace(path: str | Path) -> Trace:
             trace.add_session(session,
                               platform=platforms.get(session.user_id, "wp"))
     # Restore users that had no sessions.
-    from .schema import UserTrace
     for uid, platform in platforms.items():
         if uid not in trace.users:
             trace.users[uid] = UserTrace(uid, platform)

@@ -16,16 +16,12 @@ from hypothesis import strategies as st
 
 from repro.client.device import Device
 from repro.core.showcurve import DispatchCurve, WindowedShowCurveEstimator
-from repro.exchange.auction import AuctionConfig
-from repro.exchange.campaign import ANY, Campaign
-from repro.exchange.marketplace import Exchange
 from repro.experiments.config import ExperimentConfig
 from repro.faults.plan import FaultPlan
 from repro.radio.profiles import THREE_G, WIFI
 from repro.runner import Runner
 from repro.sim.batched import (
     DEFAULT_CONTRACT,
-    BatchedExchange,
     CachedCurve,
     LogDevice,
     assert_equivalent,
@@ -33,7 +29,6 @@ from repro.sim.batched import (
     prefetch_metrics,
     realtime_metrics,
 )
-from repro.sim.rng import RngRegistry
 
 # ----------------------------------------------------------------------
 # LogDevice vs Device: the radio settlement recurrence
@@ -88,73 +83,6 @@ def test_log_device_matches_event_device(steps, wifi, horizon_extra):
 def test_log_device_refuses_timeline_instrumentation():
     with pytest.raises(ValueError, match="timeline"):
         LogDevice("u", THREE_G, keep_timeline=True)
-
-
-# ----------------------------------------------------------------------
-# BatchedExchange vs Exchange: demand-side views and sale sequences
-# ----------------------------------------------------------------------
-
-_campaign_specs = st.lists(
-    st.tuples(
-        st.sampled_from(["news", "games", ANY]),              # category
-        st.sampled_from(["android", "ios", ANY]),             # platform
-        st.floats(min_value=0.1, max_value=5.0,
-                  allow_nan=False, allow_infinity=False),     # bid
-        st.floats(min_value=0.5, max_value=50.0,
-                  allow_nan=False, allow_infinity=False),     # budget
-    ),
-    min_size=1, max_size=12)
-
-_sell_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["now", "ahead"]),
-        st.sampled_from(["news", "games", ANY]),              # category
-        st.sampled_from(["android", "ios", ANY]),             # platform
-        st.integers(min_value=1, max_value=5),                # batch size
-    ),
-    min_size=1, max_size=30)
-
-
-def _pool(specs):
-    return [Campaign(f"c{i}", f"adv{i}", bid, budget,
-                     category=category, platform=platform)
-            for i, (category, platform, bid, budget) in enumerate(specs)]
-
-
-@given(specs=_campaign_specs, ops=_sell_ops, seed=st.integers(0, 2**31))
-@settings(max_examples=50, deadline=None)
-def test_batched_exchange_matches_event_exchange(specs, ops, seed):
-    """Same ops, same RNG stream: identical sales, budgets, and views."""
-    event = Exchange(_pool(specs), AuctionConfig(),
-                     RngRegistry(seed).fresh("x"))
-    batched = BatchedExchange(_pool(specs), AuctionConfig(),
-                              RngRegistry(seed).fresh("x"))
-    now = 0.0
-    for op, category, platform, count in ops:
-        now += 60.0
-        if op == "now":
-            a = event.sell_now(now, category=category, platform=platform)
-            b = batched.sell_now(now, category=category, platform=platform)
-            sales_a = [] if a is None else [a]
-            sales_b = [] if b is None else [b]
-        else:
-            sales_a = event.sell_ahead(now, count, deadline=now + 3600.0,
-                                       platform=platform)
-            sales_b = batched.sell_ahead(now, count, deadline=now + 3600.0,
-                                         platform=platform)
-        assert sales_a == sales_b
-        # Occasionally refund a sale through both sides.
-        if sales_a and count == 1:
-            event.settle_violated(sales_a[0])
-            batched.settle_violated(sales_b[0])
-        assert ([c.campaign_id for c in
-                 event.eligible(category, platform)]
-                == [c.campaign_id for c in
-                    batched.eligible(category, platform)])
-        assert event.active_campaigns() == batched.active_campaigns()
-    spent_a = {c.campaign_id: c.spent for c in event.campaigns}
-    spent_b = {c.campaign_id: c.spent for c in batched.campaigns}
-    assert spent_a == spent_b
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ cannot slip through.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +159,33 @@ class TestLedgerFile:
             {"schema": LEDGER_SCHEMA_NAME, "version": 999}) + "\n")
         with pytest.raises(LedgerError, match="schema version"):
             Ledger(path).records()
+
+    def test_boolean_header_version_raises(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(
+            {"schema": LEDGER_SCHEMA_NAME, "version": True}) + "\n")
+        with pytest.raises(LedgerError) as excinfo:
+            Ledger(path).records()
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: line 1:")
+        assert "'version' must be an integer" in message
+        assert "\n" not in message
+
+    def test_header_row_after_line_one_raises(self, tmp_path):
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        ledger.append(make_record())
+        header = ledger.path.read_text().splitlines()[0]
+        with ledger.path.open("a") as fh:
+            fh.write(header + "\n")
+        with pytest.raises(LedgerError) as excinfo:
+            ledger.records()
+        message = str(excinfo.value)
+        assert message.startswith(f"{ledger.path}: line 3:")
+        assert "header" in message and "\n" not in message
+
+    def test_committed_ledger_loads(self):
+        committed = Path(__file__).parents[1] / "benchmarks" / "ledger.jsonl"
+        assert Ledger(committed).records()
 
     def test_malformed_line_raises_with_line_number(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -83,3 +83,48 @@ def test_platform_override_on_write(tmp_path):
     assert loaded.user("u1").platform == "iphone"
     # ``platforms`` replaces the whole map; users it omits default to wp.
     assert loaded.user("u2").platform == "wp"
+
+
+def _write_rows(path, *sessions):
+    header = {"kind": "trace-header", "version": 1, "n_days": 1,
+              "users": {"u1": "wp"}}
+    path.write_text("\n".join(json.dumps(row) for row in (header, *sessions))
+                    + "\n")
+
+
+def _session(**changes):
+    row = {"kind": "session", "user": "u1", "app": "chat_now",
+           "start": 12.0, "duration": 30.0}
+    row.update(changes)
+    return {key: value for key, value in row.items() if value is not None}
+
+
+def test_read_rejects_numeric_string_start(tmp_path):
+    """A quoted number is not a number: it no longer reads back as 12."""
+    path = tmp_path / "quoted.jsonl"
+    _write_rows(path, _session(), _session(start="12"))
+    with pytest.raises(ValueError) as excinfo:
+        read_trace(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: line 3:")
+    assert "'start' must be a number" in message
+    assert "\n" not in message
+
+
+def test_read_rejects_session_without_app(tmp_path):
+    path = tmp_path / "no-app.jsonl"
+    _write_rows(path, _session(app=None))
+    with pytest.raises(ValueError) as excinfo:
+        read_trace(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: line 2:")
+    assert "missing key 'app'" in message
+    assert "\n" not in message
+
+
+def test_read_rejects_malformed_header_field(tmp_path):
+    path = tmp_path / "days.jsonl"
+    path.write_text(json.dumps({"kind": "trace-header", "version": 1,
+                                "n_days": "2", "users": {}}) + "\n")
+    with pytest.raises(ValueError, match=r"line 1: key 'n_days'"):
+        read_trace(path)
