@@ -55,7 +55,8 @@ class DayOfWeekPredictor(SlotPredictor):
 
 def main() -> None:
     config = ExperimentConfig(n_users=80, n_days=10, train_days=6, seed=29)
-    world = WorldSource().world_for(config)
+    source = WorldSource()
+    world = source.world_for(config)
 
     print("Offline accuracy (test days, online evaluation):")
     summaries = compare_models(
@@ -71,8 +72,9 @@ def main() -> None:
     print("\nEnd to end (the metric that matters):")
     rows = []
     for predictor in ("ewma", "day_of_week"):
+        # The shared source replays the realtime baseline once.
         result = Runner(config.variant(predictor=predictor),
-                        world=world).run("headline").comparison
+                        source=source).run("headline").comparison
         rows.append((predictor,
                      fmt_pct(result.energy_savings, 1),
                      fmt_pct(result.revenue_loss),

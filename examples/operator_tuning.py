@@ -22,7 +22,9 @@ SELL_FACTORS = (0.7, 0.8, 0.9)
 
 def main() -> None:
     base = ExperimentConfig(n_users=80, n_days=8, train_days=4, seed=13)
-    world = WorldSource().world_for(base)
+    # One source for every variant: its world and its realtime
+    # baseline are built once and shared by all nine runs.
+    source = WorldSource()
     print(f"Tuning on {base.n_users} users, {base.test_days} test days...\n")
 
     rows = []
@@ -31,7 +33,7 @@ def main() -> None:
         for sell_factor in SELL_FACTORS:
             config = base.variant(deadline_s=deadline_h * 3600.0,
                                   sell_factor=sell_factor)
-            result = Runner(config, world=world).run("headline").comparison
+            result = Runner(config, source=source).run("headline").comparison
             rows.append((
                 f"{deadline_h:g}h", f"{sell_factor:g}",
                 fmt_pct(result.energy_savings, 1),

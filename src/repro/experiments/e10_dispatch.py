@@ -84,10 +84,10 @@ def run_e10(config: ExperimentConfig | None = None,
 
     base = (config or ExperimentConfig()).variant(
         max_replicas=max_replicas, rescue_batch=0)
-    world = (source or WorldSource()).world_for(base)
+    source = source or WorldSource()
 
     def headline(variant):
-        return Runner(variant, world=world).run("headline").comparison
+        return Runner(variant, source=source).run("headline").comparison
 
     rows = []
     for policy, kwargs in POLICY_VARIANTS:

@@ -63,11 +63,11 @@ def run_e11(config: ExperimentConfig | None = None,
     from repro.runner import Runner, WorldSource
 
     config = config or ExperimentConfig()
-    world = (source or WorldSource()).world_for(config)
+    source = source or WorldSource()
     rows = []
     for predictor in predictors:
         variant = config.variant(predictor=predictor)
-        comparison = Runner(variant, world=world).run("headline").comparison
+        comparison = Runner(variant, source=source).run("headline").comparison
         rows.append(PredictorRow(
             predictor=predictor,
             energy_savings=comparison.energy_savings,

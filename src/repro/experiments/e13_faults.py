@@ -132,7 +132,7 @@ def run_e13(config: ExperimentConfig | None = None, *,
     from repro.runner import Runner, WorldSource
 
     config = config or ExperimentConfig()
-    world = (source or WorldSource()).world_for(config)
+    source = source or WorldSource()
     rows: list[FaultRow] = []
     for system in SYSTEMS:
         baseline_revenue = 0.0
@@ -140,7 +140,7 @@ def run_e13(config: ExperimentConfig | None = None, *,
         for intensity in intensities:
             run_config = _system_config(system, config,
                                         plan_for(intensity, config))
-            runner = Runner(run_config, world=world)
+            runner = Runner(run_config, source=source)
             if system == "realtime":
                 outcome = runner.run("realtime").realtime
                 failure_rate = (outcome.unfilled_slots / outcome.total_slots

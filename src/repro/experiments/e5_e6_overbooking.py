@@ -83,22 +83,22 @@ def run_e5_e6(config: ExperimentConfig | None = None,
               source: "WorldSource | None" = None) -> OverbookingSweep:
     """Run the k sweep plus the full model (cached per config+ks).
 
-    Results are invariant under the execution knobs (parallelism,
-    backend), so the cache key deliberately ignores them.
+    The cache key holds the whole config, ``ks`` and the semantic shard
+    knobs. Results are invariant under the execution knobs
+    (parallelism, backend), so the key deliberately ignores them.
     """
-    from repro.runner import Runner, WorldSource
+    from repro.runner import Runner, WorldSource, default_exec_options
 
     config = config or ExperimentConfig()
-    cache_key = (config.world_key(), config.epoch_s, config.deadline_s,
-                 config.sell_factor, config.epsilon, config.max_replicas,
-                 config.rescue_batch, tuple(ks))
+    options = default_exec_options()
+    cache_key = (config, tuple(ks), options.shards, options.max_shards)
     cached = _SWEEP_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    world = (source or WorldSource()).world_for(config)
+    source = source or WorldSource()
 
     def headline(variant):
-        return Runner(variant, world=world).run("headline").comparison
+        return Runner(variant, source=source).run("headline").comparison
 
     points = []
     for k in ks:

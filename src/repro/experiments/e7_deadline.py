@@ -69,7 +69,7 @@ def run_e7(config: ExperimentConfig | None = None,
     from repro.runner import Runner, WorldSource
 
     config = config or ExperimentConfig()
-    world = (source or WorldSource()).world_for(config)
+    source = source or WorldSource()
     points = []
     for d_h in deadlines_h:
         deadline_s = d_h * SECONDS_PER_HOUR
@@ -81,7 +81,7 @@ def run_e7(config: ExperimentConfig | None = None,
             deadline_s=deadline_s, epoch_s=epoch_s, rescue_horizon_s=None)
         for system, variant in (("static", static), ("full", full)):
             comparison = Runner(variant,
-                                world=world).run("headline").comparison
+                                source=source).run("headline").comparison
             points.append(DeadlinePoint(
                 deadline_h=d_h,
                 epoch_h=epoch_s / SECONDS_PER_HOUR,

@@ -56,14 +56,14 @@ def run_e8(config: ExperimentConfig | None = None,
     from repro.runner import Runner, WorldSource
 
     config = config or ExperimentConfig()
-    world = (source or WorldSource()).world_for(config)
+    source = source or WorldSource()
     points = []
     for t_h in epochs_h:
         epoch_s = t_h * SECONDS_PER_HOUR
         deadline_s = max(config.deadline_s, epoch_s)
         variant = config.variant(epoch_s=epoch_s, deadline_s=deadline_s,
                                  rescue_horizon_s=None)
-        comparison = Runner(variant, world=world).run("headline").comparison
+        comparison = Runner(variant, source=source).run("headline").comparison
         p = comparison.prefetch
         denom = max(p.energy.n_users * p.energy.days, 1.0)
         points.append(EpochPoint(

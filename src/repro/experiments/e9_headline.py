@@ -89,12 +89,12 @@ def run_e9(config: ExperimentConfig | None = None,
     from repro.runner import Runner, WorldSource
 
     config = config or ExperimentConfig()
-    world = (source or WorldSource()).world_for(config)
-    realtime = Runner(config, world=world).run("realtime").realtime
+    source = source or WorldSource()
+    realtime = Runner(config, source=source).run("realtime").realtime
     rows = [
         _row(system,
              Runner(apply_preset(system, config),
-                    world=world).run("headline").comparison)
+                    source=source).run("headline").comparison)
         for system in systems
     ]
     return HeadlineTable(

@@ -408,6 +408,24 @@ def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
                              clients=clients, server=server)
 
 
+def realtime_window_start(config: ExperimentConfig) -> float:
+    """Sim time at which the realtime baseline's replay window opens."""
+    return config.train_days * epochs_per_day(config.epoch_s) * config.epoch_s
+
+
+def realtime_key(config: ExperimentConfig, *, backend: str,
+                 n_shards: int) -> tuple:
+    """What :func:`_execute_realtime` reads besides the world.
+
+    On one world (timelines, radio profiles, apps, horizon), two runs
+    whose keys are equal replay the identical baseline on every shard,
+    bit for bit. Keep it in step with that function: a field it starts
+    to read belongs here too.
+    """
+    return (backend, n_shards, config.seed, realtime_window_start(config),
+            config.faults, config.campaign_config(), config.auction_config())
+
+
 def _execute_realtime(job: ShardJob) -> RealtimeOutcome:
     """Run the status-quo baseline over one user subset (a shard)."""
     config = job.config
@@ -416,8 +434,7 @@ def _execute_realtime(job: ShardJob) -> RealtimeOutcome:
     exchange = _build_exchange(
         config, registry, "exchange-realtime", job.rng_tag,
         component="realtime.exchange")
-    per_day = epochs_per_day(config.epoch_s)
-    start = config.train_days * per_day * config.epoch_s
+    start = realtime_window_start(config)
     injector = make_injector(config.faults, config.seed, job.horizon)
     return _run_realtime_engine(dict(job.timelines), job.apps,
                                 dict(job.profile_of), exchange, start,

@@ -183,7 +183,8 @@ class BeatEmitter:
         self.shard_index = int(shard_index)
         self.n_shards = int(n_shards)
         self.interval_s = float(interval_s)
-        self._registry = registry
+        self._registries: list[MetricsRegistry] = (
+            [] if registry is None else [registry])
         self._clock = clock
         self._seq = 0
         self._last_emit = -float("inf")
@@ -192,13 +193,18 @@ class BeatEmitter:
         self._progress = (0, 0, 0)
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Attach the shard-local registry counter deltas are read from."""
-        self._registry = registry
+        """Add a shard-local registry to the ones counters are read from.
+
+        A headline shard binds two, one per serving half; counter
+        deltas are taken against their sum.
+        """
+        self._registries.append(registry)
 
     def _counter_deltas(self) -> dict[str, float]:
-        if self._registry is None:
-            return {}
-        totals = dict(self._registry.snapshot().counters)
+        totals: dict[str, float] = {}
+        for registry in self._registries:
+            for name, value in registry.snapshot().counters.items():
+                totals[name] = totals.get(name, 0) + value
         deltas = {name: value - self._last_counters.get(name, 0.0)
                   for name, value in totals.items()
                   if value != self._last_counters.get(name, 0.0)}

@@ -56,11 +56,11 @@ from repro.experiments.config import ExperimentConfig
 from repro.faults.chaos import CoordinatorChaos
 from repro.experiments.harness import (
     BACKENDS,
-    PrefetchArtifacts,
     ShardJob,
     World,
     build_world,
     execute_shard,
+    realtime_key,
     shard_rng_tag,
 )
 from repro.metrics.accumulators import (
@@ -265,6 +265,20 @@ class WorldCache:
         self._worlds.clear()
 
 
+@dataclass(frozen=True, slots=True)
+class RealtimeBaseline:
+    """The merged realtime half of a run on one world.
+
+    ``metrics`` is the merged snapshot of the shards' realtime
+    registries; a run's metrics are its prefetch snapshots' merge
+    merged with this one.
+    """
+
+    world: World
+    outcome: RealtimeOutcome
+    metrics: MetricsSnapshot
+
+
 class WorldSource:
     """Explicit world provider owned by whoever runs shards.
 
@@ -272,6 +286,13 @@ class WorldSource:
     no longer consults hidden process state — callers hand a
     ``WorldSource`` (or the ``Runner`` builds a private one) and every
     world lookup is visible in the object graph.
+
+    The source also memoizes the realtime baseline: the realtime half
+    of a run reads the world and the fields of
+    :func:`~repro.experiments.harness.realtime_key` only, so runs that
+    share a source and differ in any other knob replay it once. The
+    memo is an LRU bounded by the cache's ``max_worlds``; an entry
+    keeps its world, and a lookup hits only for that very object.
 
     Parameters
     ----------
@@ -291,6 +312,10 @@ class WorldSource:
         self.cache = cache if cache is not None else WorldCache()
         self.world = world
         self.apps = tuple(apps)
+        self._baselines: OrderedDict[tuple[object, ...],
+                                     RealtimeBaseline] = OrderedDict()
+        self.realtime_hits = 0
+        self.realtime_misses = 0
 
     def world_for(self, config: ExperimentConfig) -> World:
         """The world for ``config`` (the pinned world, if any)."""
@@ -298,9 +323,30 @@ class WorldSource:
             return self.world
         return self.cache.get(config, self.apps)
 
+    def realtime_baseline(self, world: World,
+                          key: tuple[object, ...]) -> RealtimeBaseline | None:
+        """The memoized baseline of ``key`` on ``world``, if any."""
+        entry = self._baselines.get((id(world), key))
+        if entry is None or entry.world is not world:
+            self.realtime_misses += 1
+            return None
+        self.realtime_hits += 1
+        self._baselines.move_to_end((id(world), key))
+        return entry
+
+    def remember_realtime(self, key: tuple[object, ...],
+                          baseline: RealtimeBaseline) -> None:
+        """Memoize ``baseline`` under ``key``, evicting the oldest."""
+        slot = (id(baseline.world), key)
+        self._baselines[slot] = baseline
+        self._baselines.move_to_end(slot)
+        while len(self._baselines) > self.cache.max_worlds:
+            self._baselines.popitem(last=False)
+
     def clear(self) -> None:
-        """Drop cached worlds (the pinned world, if any, survives)."""
+        """Drop cached worlds and baselines (a pinned world survives)."""
         self.cache.clear()
+        self._baselines.clear()
 
 
 # ----------------------------------------------------------------------
@@ -312,11 +358,12 @@ class WorldSource:
 class ShardResult:
     """One shard's contribution to the merged run result.
 
-    Besides the simulation outcomes, every shard carries its local
-    :class:`~repro.obs.metrics.MetricsSnapshot`, its trace events (empty
-    unless tracing was requested), and its own wall-clock execution
-    time — all of which the Runner folds deterministically in
-    shard-index order.
+    Besides the simulation outcomes, every shard carries the local
+    :class:`~repro.obs.metrics.MetricsSnapshot` of each serving half
+    (``metrics`` for prefetch, ``realtime_metrics`` for the baseline),
+    its trace events (empty unless tracing was requested), and its own
+    wall-clock execution time — all of which the Runner folds
+    deterministically in shard-index order.
     """
 
     shard_index: int
@@ -325,6 +372,7 @@ class ShardResult:
     replication_weight: float = 0.0
     realtime: RealtimeOutcome | None = None
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+    realtime_metrics: MetricsSnapshot | None = None
     events: list[TraceEvent] | None = None
     elapsed_s: float = 0.0
 
@@ -339,9 +387,11 @@ def run_shard(job: ShardJob, *, trace: bool = False,
     beats, and writes the same crash postmortem wherever it ran.
 
     Activates a fresh shard-local :class:`~repro.obs.runtime.Obs`
-    bundle around the run, so every component constructed inside binds
-    shard-local instruments; ``trace`` records the shard's events into
-    a per-shard :class:`~repro.obs.trace.MemoryRecorder`.
+    bundle around each serving half (prefetch, then realtime), so every
+    component constructed inside binds shard-local instruments and the
+    realtime half's snapshot can be memoized on its own; both bundles
+    share one recorder and beat emitter. ``trace`` records the shard's
+    events into a per-shard :class:`~repro.obs.trace.MemoryRecorder`.
 
     When a :class:`~repro.obs.live.WorkerLiveSetup` is handed in, the
     trace recorder is additionally wrapped in a
@@ -366,19 +416,26 @@ def run_shard(job: ShardJob, *, trace: bool = False,
                             n_shards=job.n_shards,
                             interval_s=live.beat_interval_s)
     obs = Obs.create(recorder, beats)
+    realtime_obs = Obs.create(recorder, beats)
     result = ShardResult(shard_index=job.shard_index,
                          n_users=len(job.timelines))
     if beats is not None:
         beats.beat(0.0, users=result.n_users, force=True)  # hello
     try:
-        with activate(obs), profiler.phase("shard.execute"):
-            execution = execute_shard(job)
-            if execution.prefetch is not None:
-                artifacts: PrefetchArtifacts = execution.prefetch
+        with profiler.phase("shard.execute"):
+            if job.mode != "realtime":
+                with activate(obs):
+                    artifacts = execute_shard(
+                        replace(job, mode="prefetch")).prefetch
+                assert artifacts is not None
                 result.prefetch = artifacts.outcome
                 result.replication_weight = float(
                     sum(1 for s in artifacts.server.plan_stats if s.sold))
-            result.realtime = execution.realtime
+            if job.mode != "prefetch":
+                with activate(realtime_obs):
+                    result.realtime = execute_shard(
+                        replace(job, mode="realtime")).realtime
+                result.realtime_metrics = realtime_obs.metrics.snapshot()
     except BaseException as exc:
         if live is not None:
             # Best-effort: a postmortem that cannot be written returns
@@ -387,7 +444,8 @@ def run_shard(job: ShardJob, *, trace: bool = False,
                 shard_index=job.shard_index, n_shards=job.n_shards,
                 system=job.mode, backend=job.backend,
                 postmortem_dir=live.postmortem_dir, exc=exc, ring=ring,
-                counters=obs.metrics.snapshot().counters)
+                counters=obs.metrics.snapshot().merge(
+                    realtime_obs.metrics.snapshot()).counters)
         if beats is not None:
             beats.beat(0.0, users=result.n_users, failed=True)
         raise
@@ -583,12 +641,12 @@ class Runner:
         equivalent; see :mod:`repro.sim.batched`). Purely an execution
         knob under the equivalence contract.
     source:
-        Explicit :class:`WorldSource` to draw worlds from. ``None``
-        builds a private one, pinned to ``world`` if given.
+        Explicit :class:`WorldSource` to draw worlds from, and to share
+        its realtime baseline memo with other Runners. ``None`` builds
+        a private one, pinned to ``world`` if given.
     world:
-        Pre-built :class:`World` to reuse, bypassing the cache (sweeps
-        sharing one trace across config variants; ignored when
-        ``source`` is given).
+        Pre-built :class:`World` to reuse, bypassing the cache. Pass
+        ``source`` or ``world``, not both.
     obs:
         Observability options (tracing, artifact directory). ``None``
         falls back to the process default installed by the CLI's
@@ -633,6 +691,8 @@ class Runner:
         self.max_shards = options.max_shards
         self.chaos = (options.chaos if options.chaos is not None
                       and not options.chaos.is_empty else None)
+        if source is not None and world is not None:
+            raise ValueError("pass source= or world=, not both")
         self.source = (source if source is not None
                        else WorldSource(world=world))
         self.obs = obs
@@ -681,6 +741,11 @@ class Runner:
         them to worker processes with beat-renewed leases and retry.
         Both paths merge shard results in shard-index order with
         duplicates discarded, so the metrics are identical.
+
+        An untraced ``"headline"`` run whose realtime baseline the
+        source has memoized (see :class:`WorldSource`) executes only
+        the prefetch half and takes the baseline from the memo; every
+        field of the result is what a full run returns.
         """
         if system not in SYSTEMS:
             raise ValueError(
@@ -694,7 +759,15 @@ class Runner:
         started = time.perf_counter()
         with profiler.phase("world.build"):
             world = self.source.world_for(self.config)
-        jobs = self._jobs(system, world)
+        key = realtime_key(self.config, backend=self.backend,
+                           n_shards=self.resolve_shards(len(world.timelines)))
+        baseline: RealtimeBaseline | None = None
+        if system == "headline" and not trace:
+            # A traced run executes its realtime half, so its trace
+            # holds every event.
+            baseline = self.source.realtime_baseline(world, key)
+        jobs = self._jobs("prefetch" if baseline is not None else system,
+                          world)
         workers = min(self.parallelism, len(jobs))
         dist_stats: "DistStats | None" = None
         postmortems: tuple[Path, ...] = ()
@@ -730,13 +803,23 @@ class Runner:
         with profiler.phase("merge"):
             if system in ("prefetch", "headline"):
                 prefetch = _merge_prefetch(results, self.config)
-            if system in ("realtime", "headline"):
-                realtime = _merge_realtime(results)
+            if baseline is None and system in ("realtime", "headline"):
+                baseline = RealtimeBaseline(
+                    world=world, outcome=_merge_realtime(results),
+                    metrics=reduce(MetricsSnapshot.merge,
+                                   (r.realtime_metrics for r in results
+                                    if r.realtime_metrics is not None),
+                                   MetricsSnapshot()))
+                self.source.remember_realtime(key, baseline)
+            if baseline is not None:
+                realtime = baseline.outcome
             if system == "headline":
                 assert prefetch is not None and realtime is not None
                 comparison = compare(prefetch, realtime)
             metrics = reduce(MetricsSnapshot.merge,
                              (r.metrics for r in results), MetricsSnapshot())
+            if baseline is not None:
+                metrics = metrics.merge(baseline.metrics)
             if self._auto_clamp_bites(len(world.timelines)):
                 # Deterministic in (config, max_shards) alone — never in
                 # parallelism — so folding it into the merged snapshot

@@ -6,6 +6,7 @@ the runners' mechanics (structure, caching, labels) on a tiny world.
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.e5_e6_overbooking import run_e5_e6
 from repro.experiments.e9_headline import run_e9
 from repro.experiments.x2_fast_dormancy import run_x2
@@ -34,6 +35,28 @@ def test_e5_e6_sweep_structure_and_cache(tiny_config):
     # Second call with identical arguments returns the cached object.
     second = run_e5_e6(tiny_config, ks=(1, 2))
     assert second is first
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"train_days": 3}, id="train_days"),
+    pytest.param({"predictor": "oracle"}, id="predictor"),
+    pytest.param({"faults": "plan"}, id="faults"),
+    pytest.param({"n_campaigns": 120}, id="n_campaigns"),
+    pytest.param({"shards": 3}, id="shards"),
+    pytest.param({"max_shards": 1}, id="max_shards"),
+])
+def test_e5_e6_cache_misses_on_any_input_change(change):
+    from repro.experiments.e13_faults import plan_for
+    from repro.runner import ExecOptions, set_default_exec_options
+
+    config = ExperimentConfig(n_users=12, n_days=4, train_days=2, seed=41)
+    first = run_e5_e6(config, ks=(1,))
+    knobs = {k: v for k, v in change.items()
+             if k in ("shards", "max_shards")}
+    fields = {k: (plan_for(0.2, config) if v == "plan" else v)
+              for k, v in change.items() if k not in knobs}
+    set_default_exec_options(ExecOptions(**knobs))
+    assert run_e5_e6(config.variant(**fields), ks=(1,)) is not first
 
 
 def test_x2_grid_structure(tiny_config):

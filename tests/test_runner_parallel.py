@@ -231,6 +231,8 @@ def test_runner_owns_explicit_world_source(tiny_config, shard_world):
     # Convenience params build a private source.
     implicit = Runner(tiny_config, world=shard_world)
     assert implicit.source.world is shard_world
+    with pytest.raises(ValueError, match="not both"):
+        Runner(tiny_config, source=source, world=shard_world)
 
 
 # ----------------------------------------------------------------------
