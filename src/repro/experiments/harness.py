@@ -42,9 +42,11 @@ from repro.client.device import Device
 from repro.client.sdk import AdClient
 from repro.client.timeline import ClientTimeline, compile_timeline
 from repro.core.overbooking import make_policy
-from repro.exchange.campaign import build_campaigns
+from repro.exchange.auction import AuctionConfig
+from repro.exchange.campaign import CampaignPoolConfig, build_campaigns
 from repro.exchange.marketplace import Exchange
 from repro.faults.injector import make_injector
+from repro.faults.plan import FaultPlan
 from repro.metrics.energy import aggregate_devices
 from repro.metrics.outcomes import PrefetchOutcome, RealtimeOutcome
 from repro.obs.live import shard_heartbeat
@@ -253,8 +255,8 @@ def execute_shard(job: ShardJob) -> ShardExecution:
     return result
 
 
-def _build_exchange(config: ExperimentConfig, registry: RngRegistry,
-                    stream: str, rng_tag: str = "",
+def _build_exchange(campaigns: CampaignPoolConfig, auction: AuctionConfig,
+                    registry: RngRegistry, stream: str, rng_tag: str = "",
                     component: str = "exchange") -> Exchange:
     """Build a marketplace on tagged RNG streams.
 
@@ -264,10 +266,9 @@ def _build_exchange(config: ExperimentConfig, registry: RngRegistry,
     ``component`` namespaces the marketplace's observability instruments
     (headline runs hold a prefetch and a real-time exchange per shard).
     """
-    campaigns = build_campaigns(config.campaign_config(),
-                                registry.fresh("campaigns" + rng_tag))
-    return Exchange(campaigns, config.auction_config(),
-                    registry.fresh(stream + rng_tag), component=component)
+    pool = build_campaigns(campaigns, registry.fresh("campaigns" + rng_tag))
+    return Exchange(pool, auction, registry.fresh(stream + rng_tag),
+                    component=component)
 
 
 def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
@@ -298,8 +299,9 @@ def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
             predictor.set_truth(counts[uid], start_epoch=0)
         predictors[uid] = predictor
 
-    exchange = _build_exchange(config, registry, "exchange-prefetch",
-                               rng_tag)
+    exchange = _build_exchange(config.campaign_config(),
+                               config.auction_config(), registry,
+                               "exchange-prefetch", rng_tag)
     policy = make_policy(config.policy, **config.policy_kwargs_full())
     server = server_cls(config.server_config(), exchange, policy, predictors,
                         registry.fresh("dispatch" + rng_tag))
@@ -408,35 +410,49 @@ def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
                              clients=clients, server=server)
 
 
-def realtime_window_start(config: ExperimentConfig) -> float:
-    """Sim time at which the realtime baseline's replay window opens."""
-    return config.train_days * epochs_per_day(config.epoch_s) * config.epoch_s
+@dataclass(frozen=True, slots=True)
+class RealtimeKey:
+    """Everything the realtime baseline reads besides the world.
+
+    :func:`_execute_realtime` reads the run's config only through this
+    record, so on one world (timelines, radio profiles, apps, horizon)
+    two runs whose keys are equal replay the identical baseline on
+    every shard, bit for bit. :class:`repro.runner.WorldSource` memoizes
+    the baseline under it.
+    """
+
+    backend: str
+    n_shards: int
+    seed: int
+    #: Sim time at which the replay window opens.
+    window_start: float
+    faults: FaultPlan
+    campaigns: CampaignPoolConfig
+    auction: AuctionConfig
 
 
 def realtime_key(config: ExperimentConfig, *, backend: str,
-                 n_shards: int) -> tuple:
-    """What :func:`_execute_realtime` reads besides the world.
-
-    On one world (timelines, radio profiles, apps, horizon), two runs
-    whose keys are equal replay the identical baseline on every shard,
-    bit for bit. Keep it in step with that function: a field it starts
-    to read belongs here too.
-    """
-    return (backend, n_shards, config.seed, realtime_window_start(config),
-            config.faults, config.campaign_config(), config.auction_config())
+                 n_shards: int) -> RealtimeKey:
+    """The :class:`RealtimeKey` of ``config`` on ``n_shards`` shards."""
+    return RealtimeKey(
+        backend=backend, n_shards=n_shards, seed=config.seed,
+        window_start=(config.train_days * epochs_per_day(config.epoch_s)
+                      * config.epoch_s),
+        faults=config.faults, campaigns=config.campaign_config(),
+        auction=config.auction_config())
 
 
 def _execute_realtime(job: ShardJob) -> RealtimeOutcome:
     """Run the status-quo baseline over one user subset (a shard)."""
-    config = job.config
-    batched = job.backend == "batched"
-    registry = RngRegistry(config.seed)
+    key = realtime_key(job.config, backend=job.backend,
+                       n_shards=job.n_shards)
+    registry = RngRegistry(key.seed)
     exchange = _build_exchange(
-        config, registry, "exchange-realtime", job.rng_tag,
+        key.campaigns, key.auction, registry, "exchange-realtime",
+        shard_rng_tag(job.shard_index, key.n_shards),
         component="realtime.exchange")
-    start = realtime_window_start(config)
-    injector = make_injector(config.faults, config.seed, job.horizon)
-    return _run_realtime_engine(dict(job.timelines), job.apps,
-                                dict(job.profile_of), exchange, start,
-                                job.horizon, injector=injector,
-                                device_cls=LogDevice if batched else Device)
+    injector = make_injector(key.faults, key.seed, job.horizon)
+    return _run_realtime_engine(
+        dict(job.timelines), job.apps, dict(job.profile_of), exchange,
+        key.window_start, job.horizon, injector=injector,
+        device_cls=LogDevice if key.backend == "batched" else Device)

@@ -56,6 +56,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.faults.chaos import CoordinatorChaos
 from repro.experiments.harness import (
     BACKENDS,
+    RealtimeKey,
     ShardJob,
     World,
     build_world,
@@ -288,8 +289,8 @@ class WorldSource:
     world lookup is visible in the object graph.
 
     The source also memoizes the realtime baseline: the realtime half
-    of a run reads the world and the fields of
-    :func:`~repro.experiments.harness.realtime_key` only, so runs that
+    of a run reads the world and the fields of its
+    :class:`~repro.experiments.harness.RealtimeKey` only, so runs that
     share a source and differ in any other knob replay it once. The
     memo is an LRU bounded by the cache's ``max_worlds``; an entry
     keeps its world, and a lookup hits only for that very object.
@@ -312,7 +313,7 @@ class WorldSource:
         self.cache = cache if cache is not None else WorldCache()
         self.world = world
         self.apps = tuple(apps)
-        self._baselines: OrderedDict[tuple[object, ...],
+        self._baselines: OrderedDict[tuple[int, RealtimeKey],
                                      RealtimeBaseline] = OrderedDict()
         self.realtime_hits = 0
         self.realtime_misses = 0
@@ -324,7 +325,7 @@ class WorldSource:
         return self.cache.get(config, self.apps)
 
     def realtime_baseline(self, world: World,
-                          key: tuple[object, ...]) -> RealtimeBaseline | None:
+                          key: RealtimeKey) -> RealtimeBaseline | None:
         """The memoized baseline of ``key`` on ``world``, if any."""
         entry = self._baselines.get((id(world), key))
         if entry is None or entry.world is not world:
@@ -334,7 +335,7 @@ class WorldSource:
         self._baselines.move_to_end((id(world), key))
         return entry
 
-    def remember_realtime(self, key: tuple[object, ...],
+    def remember_realtime(self, key: RealtimeKey,
                           baseline: RealtimeBaseline) -> None:
         """Memoize ``baseline`` under ``key``, evicting the oldest."""
         slot = (id(baseline.world), key)
@@ -761,13 +762,13 @@ class Runner:
             world = self.source.world_for(self.config)
         key = realtime_key(self.config, backend=self.backend,
                            n_shards=self.resolve_shards(len(world.timelines)))
-        baseline: RealtimeBaseline | None = None
+        hit: RealtimeBaseline | None = None
         if system == "headline" and not trace:
             # A traced run executes its realtime half, so its trace
             # holds every event.
-            baseline = self.source.realtime_baseline(world, key)
-        jobs = self._jobs("prefetch" if baseline is not None else system,
-                          world)
+            hit = self.source.realtime_baseline(world, key)
+        baseline = hit
+        jobs = self._jobs("prefetch" if hit is not None else system, world)
         workers = min(self.parallelism, len(jobs))
         dist_stats: "DistStats | None" = None
         postmortems: tuple[Path, ...] = ()
@@ -816,10 +817,14 @@ class Runner:
             if system == "headline":
                 assert prefetch is not None and realtime is not None
                 comparison = compare(prefetch, realtime)
-            metrics = reduce(MetricsSnapshot.merge,
-                             (r.metrics for r in results), MetricsSnapshot())
-            if baseline is not None:
-                metrics = metrics.merge(baseline.metrics)
+            shard_metrics = reduce(MetricsSnapshot.merge,
+                                   (r.metrics for r in results),
+                                   MetricsSnapshot())
+            metrics = (shard_metrics if baseline is None
+                       else shard_metrics.merge(baseline.metrics))
+            # Telemetry rates cover the work this run executed, which
+            # excludes a memo hit's realtime half.
+            executed = shard_metrics if hit is not None else metrics
             if self._auto_clamp_bites(len(world.timelines)):
                 # Deterministic in (config, max_shards) alone — never in
                 # parallelism — so folding it into the merged snapshot
@@ -840,8 +845,9 @@ class Runner:
         profile = profiler.snapshot()
         resources = collect_telemetry(
             elapsed_s=elapsed_s,
-            users_total=metrics.counters.get("throughput.users_total", 0.0),
-            events_total=metrics.counters.get("throughput.events_total", 0.0))
+            users_total=executed.counters.get("throughput.users_total", 0.0),
+            events_total=executed.counters.get("throughput.events_total",
+                                               0.0))
         artifacts_dir: Path | None = None
         if options is not None and options.out_dir is not None:
             artifacts_dir = next_run_dir(options, system)

@@ -1,7 +1,7 @@
 """The realtime baseline memo in ``WorldSource``.
 
-Realtime serving reads the world plus the fields of
-:func:`repro.experiments.harness.realtime_key`; runs that share a source
+Realtime serving reads the world plus the fields of its
+:class:`repro.experiments.harness.RealtimeKey`; runs that share a source
 and differ only in other knobs replay the baseline once. A hit must be
 indistinguishable from a full run in every result field.
 """
@@ -120,6 +120,17 @@ def test_e9_replays_the_baseline_once_per_shard(monkeypatch):
     table = run_e9(CONFIG)
     assert len(calls) == 2
     assert len(table.rows) == len(E9_SYSTEMS)
+
+
+def test_hit_telemetry_counts_only_the_executed_half():
+    source = WorldSource()
+    miss = Runner(CONFIG, source=source).run("headline")
+    hit = Runner(CONFIG, source=source).run("headline")
+    alone = Runner(CONFIG).run("prefetch")
+    assert hit.metrics == miss.metrics
+    assert hit.resources.users_total == alone.resources.users_total
+    assert hit.resources.events_total == alone.resources.events_total
+    assert miss.resources.events_total > hit.resources.events_total
 
 
 def test_traced_run_after_a_hit_keeps_its_realtime_events():

@@ -18,12 +18,7 @@ from repro.analysis import analyze_source, run_analysis
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding
 from repro.analysis.cli import main as lint_main
-from repro.analysis.manifest import (
-    build_stream_manifest,
-    check_manifest,
-    write_manifest,
-)
-from repro.analysis.session import AnalysisSession
+from repro.analysis.manifest import build_stream_manifest, check_manifest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "analysis" / "repro-lint-baseline.json"
@@ -109,21 +104,6 @@ class TestInjectionScenario:
         injected += "\n\ndef _leaky_now():\n    return _time.time()\n"
         findings = analyze_source(injected, "src/repro/sim/engine.py")
         assert any(f.rule == "RPR001" for f in findings)
-
-    def test_line_only_edit_keeps_manifest_bytes(self, tmp_path):
-        path = "src/repro/experiments/harness.py"
-        source = (REPO_ROOT / path).read_text()
-        edited = source.replace('"""\n\nfrom __future__',
-                                '"""\n\n\n\nfrom __future__', 1)
-        assert edited != source
-        written, lines = [], []
-        for index, text in enumerate((source, edited)):
-            report = AnalysisSession().run([(path, text)])
-            written.append(tmp_path / f"streams{index}.json")
-            write_manifest(report.stream_sites, written[-1])
-            lines.append([site.line for site in report.stream_sites])
-        assert lines[0] and lines[0] != lines[1]
-        assert written[0].read_bytes() == written[1].read_bytes()
 
     def test_stream_rename_breaks_manifest(self, repo_report):
         sites = [type(s)(template=("renamed" if s.template == "trace"
