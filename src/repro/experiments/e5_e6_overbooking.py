@@ -13,21 +13,26 @@ paper's thesis.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.metrics.outcomes import Comparison
 from repro.metrics.summary import fmt_pct, format_table
 
-from typing import TYPE_CHECKING
-
 from .config import ExperimentConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.experiments.harness import World
     from repro.runner import WorldSource
 
 DEFAULT_KS = (1, 2, 3, 4, 6)
 
-_SWEEP_CACHE: dict[tuple, "OverbookingSweep"] = {}
+#: Sweeps kept for reuse (``run all`` runs E5 and then E6 on one source).
+SWEEP_CACHE_SIZE = 4
+
+_SWEEP_CACHE: OrderedDict[tuple, tuple["World | None", "OverbookingSweep"]] = (
+    OrderedDict())
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,21 +86,30 @@ def _point(label: str, comparison: Comparison) -> KPoint:
 def run_e5_e6(config: ExperimentConfig | None = None,
               ks: tuple[int, ...] = DEFAULT_KS, *,
               source: "WorldSource | None" = None) -> OverbookingSweep:
-    """Run the k sweep plus the full model (cached per config+ks).
+    """Run the k sweep plus the full model (cached per world+config+ks).
 
-    The cache key holds the whole config, ``ks`` and the semantic shard
-    knobs. Results are invariant under the execution knobs
-    (parallelism, backend), so the key deliberately ignores them.
+    The cache key holds the whole config, ``ks``, the semantic shard
+    knobs and the world the sweep runs on: a source's pinned world,
+    matched by identity, or else its app catalog, from which (with the
+    config) an unpinned source builds the same world every time.
+    Results are invariant under the execution knobs (parallelism,
+    backend), so the key deliberately ignores them. The cache keeps the
+    :data:`SWEEP_CACHE_SIZE` most recently used sweeps.
     """
     from repro.runner import Runner, WorldSource, default_exec_options
 
     config = config or ExperimentConfig()
+    source = source or WorldSource()
     options = default_exec_options()
-    cache_key = (config, tuple(ks), options.shards, options.max_shards)
+    pinned = source.world
+    world_token = (id(pinned) if pinned is not None
+                   else tuple(app.app_id for app in source.apps))
+    cache_key = (config, tuple(ks), options.shards, options.max_shards,
+                 world_token)
     cached = _SWEEP_CACHE.get(cache_key)
     if cached is not None:
-        return cached
-    source = source or WorldSource()
+        _SWEEP_CACHE.move_to_end(cache_key)
+        return cached[1]
 
     def headline(variant):
         return Runner(variant, source=source).run("headline").comparison
@@ -112,5 +126,10 @@ def run_e5_e6(config: ExperimentConfig | None = None,
     full = headline(config.variant(policy="staggered"))
     sweep = OverbookingSweep(points=points,
                              full_model=_point("staggered+rescue", full))
-    _SWEEP_CACHE[cache_key] = sweep
+    # The entry holds the pinned world so its id is not reused while
+    # the entry lives.
+    _SWEEP_CACHE[cache_key] = (pinned, sweep)
+    _SWEEP_CACHE.move_to_end(cache_key)
+    while len(_SWEEP_CACHE) > SWEEP_CACHE_SIZE:
+        _SWEEP_CACHE.popitem(last=False)
     return sweep

@@ -82,3 +82,45 @@ def test_e12_radio_activity_structure(tiny_config):
         assert "idle" not in shares
         assert all(0.0 <= v <= 1.0 for v in shares.values())
     assert "wakeups" in figure.render()
+
+
+def test_e5_e6_pinned_worlds_never_share_a_sweep():
+    from repro.experiments.harness import build_world
+    from repro.runner import WorldSource
+
+    config = ExperimentConfig(n_users=12, n_days=4, train_days=2, seed=43)
+    world = build_world(config)
+    other = build_world(config.variant(seed=44))
+    first = run_e5_e6(config, ks=(1,), source=WorldSource(world=world))
+    second = run_e5_e6(config, ks=(1,), source=WorldSource(world=other))
+    assert second is not first and second != first
+    # A new source pinned on the same world reuses the sweep.
+    assert run_e5_e6(config, ks=(1,),
+                     source=WorldSource(world=world)) is first
+
+
+def test_e5_e6_cache_is_bounded(monkeypatch):
+    from repro.experiments import e5_e6_overbooking
+    from repro.experiments.harness import build_world
+    from repro.runner import WorldSource
+
+    monkeypatch.setattr(e5_e6_overbooking, "SWEEP_CACHE_SIZE", 2)
+    config = ExperimentConfig(n_users=12, n_days=4, train_days=2, seed=45)
+    source = WorldSource(world=build_world(config))
+    sweeps = [run_e5_e6(config.variant(epsilon=eps), ks=(1,), source=source)
+              for eps in (0.01, 0.02, 0.03)]
+    assert len(e5_e6_overbooking._SWEEP_CACHE) == 2
+    assert run_e5_e6(config.variant(epsilon=0.03), ks=(1,),
+                     source=source) is sweeps[2]
+    assert run_e5_e6(config.variant(epsilon=0.01), ks=(1,),
+                     source=source) is not sweeps[0]
+
+
+def test_run_all_reuses_the_e5_sweep_for_e6():
+    from repro.experiments.registry import run_experiment
+    from repro.runner import WorldSource
+
+    config = ExperimentConfig(n_users=12, n_days=4, train_days=2, seed=46)
+    source = WorldSource()
+    e5 = run_experiment("e5", config, source=source)
+    assert run_experiment("e6", config, source=source) is e5
