@@ -12,8 +12,16 @@ RPR002    RNG stream discipline (centralized construction,
           statically-resolvable stream names + manifest)
 RPR003    unit discipline (suffix-encoded dimension checking)
 RPR004    merge associativity (accumulator contract in metrics)
+RPR005    nondeterministic numpy entry points (global state,
+          unseeded generators)
+RPR006    shard purity over the ``execute_shard`` call graph
+          (interprocedural)
+RPR008    unit flow across assignments, returns and calls
+          (interprocedural)
 ========  =====================================================
 
+The id RPR007 is unused: whether the shard-boundary payload types
+pickle is checked at run time, by ``tests/test_shard_boundary_pickle.py``.
 Run as ``repro-lint`` or ``python -m repro.analysis``; see
 :mod:`repro.analysis.cli` for flags, DESIGN.md for the contract.
 The package is stdlib-only so it can run where numpy is absent.

@@ -199,35 +199,3 @@ class FileContext:
         return any(_on(covered)
                    for start, end in self.stmt_spans if start <= line <= end
                    for covered in range(start, end + 1))
-
-    # -- enclosing scopes -----------------------------------------------
-
-    @cached_property
-    def _scope_spans(self) -> list[tuple[int, int, str]]:
-        spans: list[tuple[int, int, str]] = []
-
-        def visit(node: ast.AST, prefix: str) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef)):
-                    qualname = (f"{prefix}.{child.name}" if prefix
-                                else child.name)
-                    end = child.end_lineno or child.lineno
-                    spans.append((child.lineno, end, qualname))
-                    visit(child, qualname)
-                else:
-                    visit(child, prefix)
-
-        visit(self.tree, "")
-        return spans
-
-    def scope_at(self, line: int) -> str:
-        """Qualname of the innermost def/class enclosing ``line``."""
-        best = "<module>"
-        best_size = None
-        for start, end, qualname in self._scope_spans:
-            if start <= line <= end:
-                size = end - start
-                if best_size is None or size < best_size:
-                    best, best_size = qualname, size
-        return best

@@ -1,53 +1,22 @@
 """Finding model for :mod:`repro.analysis` (``repro-lint``).
 
-A :class:`Finding` is one rule violation at one source location. Its
-:attr:`~Finding.fingerprint` deliberately excludes the line/column so a
-baselined finding survives unrelated edits that shift code around; it
-keys on (rule, file, enclosing scope, message) instead.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
 class Finding:
     """One rule violation at one source location."""
 
-    rule: str           # "RPR001" .. "RPR004"
+    rule: str           # "RPR001" .. "RPR008"
     message: str        # human-readable explanation (stable wording)
     path: str           # posix-style path as given to the linter
     line: int           # 1-based
     col: int            # 0-based (ast convention)
-    scope: str = "<module>"  # enclosing ``Class.method`` qualname
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
-        blob = f"{self.rule}|{self.path}|{self.scope}|{self.message}"
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "scope": self.scope,
-            "fingerprint": self.fingerprint,
-        }
-
-
-@dataclass(slots=True)
-class FileReport:
-    """All findings for one analyzed file, plus suppression accounting."""
-
-    path: str
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: int = 0

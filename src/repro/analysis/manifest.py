@@ -6,6 +6,10 @@ stream rename silently re-seeds the renamed component — same code, new
 draws, different experiment tables — so the manifest turns that invisible
 hazard into a reviewable diff: CI runs ``repro-lint --check-manifest``
 and fails when the manifest on disk no longer matches the code.
+
+Sites are recorded as file paths, not lines: an edit that only moves a
+call leaves the manifest byte-identical, so the check compares the
+whole manifest.
 """
 
 from __future__ import annotations
@@ -19,13 +23,12 @@ _VERSION = 1
 
 
 def build_stream_manifest(sites: list[StreamSite]) -> dict[str, object]:
-    """Group stream sites by template into the manifest payload."""
-    grouped: dict[str, list[str]] = {}
+    """Group the files requesting each stream into the manifest payload."""
+    grouped: dict[str, set[str]] = {}
     for site in sites:
-        grouped.setdefault(site.template, []).append(
-            f"{site.path}:{site.line}")
+        grouped.setdefault(site.template, set()).add(site.path)
     streams = [
-        {"name": name, "sites": sorted(set(grouped[name]))}
+        {"name": name, "sites": sorted(grouped[name])}
         for name in sorted(grouped)
     ]
     return {
@@ -48,10 +51,10 @@ def write_manifest(sites: list[StreamSite], path: str | Path) -> None:
 
 def check_manifest(sites: list[StreamSite],
                    path: str | Path) -> list[str]:
-    """Compare code-derived streams against the committed manifest.
+    """Compare the code-derived manifest with the committed one.
 
-    Returns human-readable drift messages (empty when in sync). A
-    missing manifest file is itself drift.
+    Returns human-readable drift messages (empty when the two are
+    equal). A missing manifest file is itself drift.
     """
     target = Path(path)
     if not target.exists():
@@ -61,16 +64,12 @@ def check_manifest(sites: list[StreamSite],
         on_disk = json.loads(target.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, OSError) as exc:
         return [f"stream manifest {target} is unreadable: {exc}"]
-    def _files(site_list: list[str]) -> list[str]:
-        # Compare per-file, not per-line: unrelated edits shift lines,
-        # but a stream moving files (or appearing/vanishing) is drift.
-        return sorted({site.rsplit(":", 1)[0] for site in site_list})
-
     expected = build_stream_manifest(sites)
-    expected_streams: list[dict[str, object]] = expected["streams"]
-    current = {str(entry["name"]): _files(list(entry["sites"]))
-               for entry in expected_streams}
-    recorded = {str(entry.get("name")): _files(entry.get("sites", []))
+    if on_disk == expected:
+        return []
+    current = {entry["name"]: entry["sites"]
+               for entry in expected["streams"]}
+    recorded = {str(entry.get("name")): entry.get("sites")
                 for entry in on_disk.get("streams", [])}
     problems: list[str] = []
     for name in sorted(set(current) - set(recorded)):
@@ -86,7 +85,9 @@ def check_manifest(sites: list[StreamSite],
             problems.append(
                 f"stream {name!r} call sites moved: manifest has "
                 f"{recorded[name]}, code has {current[name]}")
-    if problems:
-        problems.append("regenerate with 'repro-lint --write-manifest' "
-                        "and review the diff")
+    if not problems:
+        problems.append(f"stream manifest {target} differs from the "
+                        "generated one outside its stream list")
+    problems.append("regenerate with 'repro-lint --write-manifest' "
+                    "and review the diff")
     return problems

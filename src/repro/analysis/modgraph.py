@@ -2,10 +2,10 @@
 
 The per-file rules (RPR001–RPR005) see one :class:`~repro.analysis.
 context.FileContext` at a time. The project-level rules (RPR006 shard
-purity, RPR007 serialization safety, RPR008 unit flow) need to see the
-whole program: which module defines a symbol, which function calls
-which, what a dataclass field's annotation resolves to *in another
-file*. This module provides the data layer for that:
+purity, RPR008 unit flow) need to see the whole program: which module
+defines a symbol, which function calls which, which classes a shard
+constructs, what unit a function *in another file* returns. This
+module provides the data layer for that:
 
 * :class:`ModuleSummary` — everything the interprocedural passes need
   from one file, extracted in a single AST walk;
@@ -176,23 +176,18 @@ class FieldDecl:
     name: str
     line: int
     col: int
-    type_tokens: list[str] = field(default_factory=list)
-    lambda_default: bool = False
     mutable_class_default: bool = False
 
 
 @dataclass(slots=True)
 class ClassInfo:
-    """Summary of one class: dataclass contract bits + field types."""
+    """Summary of one class: its bases, fields and methods."""
 
     qualname: str
     line: int
     col: int
     bases: list[str] = field(default_factory=list)
     is_dataclass: bool = False
-    frozen: bool = False
-    kw_only: bool = False
-    slots: bool = False
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
 
@@ -288,42 +283,12 @@ def _is_mutable_literal(node: ast.expr, ctx: FileContext) -> bool:
     return False
 
 
-def _dataclass_flags(node: ast.ClassDef, ctx: FileContext
-                     ) -> tuple[bool, bool, bool, bool]:
-    """``(is_dataclass, frozen, kw_only, slots)`` from the decorators."""
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        dotted = ctx.dotted_name(target)
-        if dotted not in ("dataclasses.dataclass", "dataclass"):
-            continue
-        frozen = kw_only = slots = False
-        if isinstance(deco, ast.Call):
-            for kw in deco.keywords:
-                if not (isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True):
-                    continue
-                frozen = frozen or kw.arg == "frozen"
-                kw_only = kw_only or kw.arg == "kw_only"
-                slots = slots or kw.arg == "slots"
-        return True, frozen, kw_only, slots
-    return False, False, False, False
-
-
-def _has_lambda_default(value: ast.expr | None,
-                        ctx: FileContext) -> bool:
-    """True when a field default is (or factories through) a lambda."""
-    if value is None:
-        return False
-    if isinstance(value, ast.Lambda):
-        return True
-    if isinstance(value, ast.Call):
-        dotted = ctx.dotted_name(value.func)
-        if dotted in ("dataclasses.field", "field"):
-            for kw in value.keywords:
-                if kw.arg == "default_factory" and isinstance(
-                        kw.value, ast.Lambda):
-                    return True
-    return False
+def _is_dataclass(node: ast.ClassDef, ctx: FileContext) -> bool:
+    """True when a ``@dataclass`` decorator (called or bare) is present."""
+    return any(
+        ctx.dotted_name(deco.func if isinstance(deco, ast.Call) else deco)
+        in ("dataclasses.dataclass", "dataclass")
+        for deco in node.decorator_list)
 
 
 class _FunctionExtractor(ast.NodeVisitor):
@@ -572,23 +537,20 @@ def build_summary(ctx: FileContext) -> ModuleSummary:
                 yield from walk_defs(node.body, qualname, False)
             elif isinstance(node, ast.ClassDef):
                 qualname = f"{prefix}.{node.name}" if prefix else node.name
-                is_dc, frozen, kw_only, slots = _dataclass_flags(node, ctx)
+                is_dc = _is_dataclass(node, ctx)
                 cls_info = ClassInfo(
                     qualname=qualname, line=node.lineno,
                     col=node.col_offset,
                     bases=[token for base in node.bases
                            for token in _annotation_tokens(base, ctx)],
-                    is_dataclass=is_dc, frozen=frozen, kw_only=kw_only,
-                    slots=slots)
+                    is_dataclass=is_dc)
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(
                             item.target, ast.Name):
                         tokens = _annotation_tokens(item.annotation, ctx)
                         cls_info.fields.append(FieldDecl(
                             name=item.target.id, line=item.lineno,
-                            col=item.col_offset, type_tokens=tokens,
-                            lambda_default=_has_lambda_default(
-                                item.value, ctx),
+                            col=item.col_offset,
                             mutable_class_default=(
                                 not is_dc and item.value is not None
                                 and _is_mutable_literal(item.value, ctx)

@@ -2,8 +2,9 @@
 
 Rules register here by id; :func:`get_rules` materializes the (optionally
 filtered) active per-file set for one engine run and
-:func:`get_project_rules` the interprocedural set (RPR006–RPR008), which
-run once per session over the merged module graph rather than per file.
+:func:`get_project_rules` the interprocedural set (RPR006 and RPR008),
+which run once per session over the merged module graph rather than per
+file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .merges import MergeRule
 from .numpy_entropy import NumpyEntropyRule
 from .purity import PurityRule
 from .rng_streams import RngStreamRule
-from .serialization import SerializationRule
 from .unit_flow import UnitFlowRule
 from .units import UnitRule
 
@@ -27,7 +27,7 @@ ALL_RULES: dict[str, type[Rule]] = {
 #: Project-level (interprocedural) rules: run once over the module graph.
 PROJECT_RULES: dict[str, type] = {
     rule.id: rule
-    for rule in (PurityRule, SerializationRule, UnitFlowRule)
+    for rule in (PurityRule, UnitFlowRule)
 }
 
 
@@ -44,8 +44,8 @@ def get_rules(select: list[str] | None = None) -> list[Rule]:
     """Instantiate the active per-file rules (all by default).
 
     ``select`` is a list of rule ids; unknown ids raise ``ValueError``
-    so CI configs fail loudly rather than silently checking nothing.
-    Project-level ids (RPR006–RPR008) are accepted here for validation
+    so a caller fails loudly rather than silently checking nothing.
+    Project-level ids (RPR006, RPR008) are accepted here for validation
     but materialize through :func:`get_project_rules`.
     """
     if select is None:

@@ -104,14 +104,12 @@ def iter_calls(ctx: FileContext) -> Iterator[tuple[ast.Call, str]]:
 def make_finding(rule: str, ctx: FileContext, node: ast.AST,
                  message: str) -> Finding:
     """Build a :class:`Finding` located at ``node`` in ``ctx``."""
-    line = getattr(node, "lineno", 1)
     return Finding(
         rule=rule,
         message=message,
         path=ctx.path,
-        line=line,
+        line=getattr(node, "lineno", 1),
         col=getattr(node, "col_offset", 0),
-        scope=ctx.scope_at(line),
     )
 
 

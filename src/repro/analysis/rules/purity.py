@@ -97,8 +97,7 @@ class PurityRule:
             rule=self.id,
             message=(template.format(detail=detail)
                      + f" [shard-reachable via {chain}]"),
-            path=summary.path, line=op.line, col=op.col,
-            scope=info_scope(fq, summary))
+            path=summary.path, line=op.line, col=op.col)
 
     def _check_constructed_classes(self, project: ProjectContext
                                    ) -> Iterator[Finding]:
@@ -120,11 +119,5 @@ class PurityRule:
                                  "instance in a shard worker shares it — "
                                  "initialize per-instance in __init__ or "
                                  "use a dataclass field factory"),
-                        path=summary.path, line=decl.line, col=decl.col,
-                        scope=cls.qualname)
+                        path=summary.path, line=decl.line, col=decl.col)
 
-
-def info_scope(fq: str, summary: ModuleSummary) -> str:
-    """Module-relative scope qualname for a fully-qualified function."""
-    prefix = summary.module + "."
-    return fq[len(prefix):] if fq.startswith(prefix) else fq

@@ -107,7 +107,7 @@ class UnitFlowRule:
                 if problem is not None:
                     short = candidates[0].split(".", 1)[-1]
                     yield self._finding(
-                        summary, info, arg.line, arg.col,
+                        summary, arg.line, arg.col,
                         f"argument '{arg.unit.display}' flows into "
                         f"parameter '{params[arg.position]}' of "
                         f"{short}(): {problem}")
@@ -129,7 +129,7 @@ class UnitFlowRule:
             problem = _mismatch(value_unit, assign.target_unit)
             if problem is not None:
                 yield self._finding(
-                    summary, info, assign.line, assign.col,
+                    summary, assign.line, assign.col,
                     f"'{assign.target}' is assigned from '{source}': "
                     f"{problem}")
 
@@ -155,11 +155,11 @@ class UnitFlowRule:
             problem = _mismatch(ret.unit, promised)
             if problem is not None:
                 yield self._finding(
-                    summary, info, ret.line, ret.col,
+                    summary, ret.line, ret.col,
                     f"'{info.qualname}' promises _{promised.suffix} but "
                     f"returns '{ret.unit.display}': {problem}")
 
-    def _finding(self, summary: ModuleSummary, info: FunctionInfo,
-                 line: int, col: int, message: str) -> Finding:
+    def _finding(self, summary: ModuleSummary, line: int, col: int,
+                 message: str) -> Finding:
         return Finding(rule=self.id, message=message, path=summary.path,
-                       line=line, col=col, scope=info.qualname)
+                       line=line, col=col)

@@ -9,7 +9,7 @@ stages:
    one after another.
 2. **Project** — merge the summaries into a
    :class:`~repro.analysis.modgraph.ModuleGraph`, build the shard call
-   graph, and run the project-level rules (RPR006–008) once over the
+   graph, and run the project-level rules (RPR006, RPR008) once over the
    whole program.
 3. **Merge** — filter every finding through its file's
    :meth:`~repro.analysis.context.FileContext.is_suppressed`, sort

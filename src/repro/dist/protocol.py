@@ -3,10 +3,10 @@
 Every control message that crosses a worker's pipe is one of the
 frozen keyword-only dataclasses below, each carrying plain scalar
 fields only, and travels pickled over the worker's
-``multiprocessing.Pipe``; nothing encodes a message any other way. The
-messages sit inside the repro-lint RPR007 serialization closure next
-to :class:`~repro.experiments.harness.ShardJob`: no callables,
-handles, locks, or lambda defaults may ever creep into their fields.
+``multiprocessing.Pipe``; nothing encodes a message any other way.
+``tests/test_shard_boundary_pickle.py`` round-trips each message, next
+to :class:`~repro.experiments.harness.ShardJob`, through pickle and
+checks its frozen/keyword-only contract.
 
 Every pipe item is an ``(envelope, payload)`` pair. Payloads (the
 :class:`~repro.experiments.harness.ShardJob` a job carries, the
@@ -17,7 +17,7 @@ its result.
 
 One record from outside this module shares the pipe: the shard
 heartbeat, a frozen :class:`~repro.obs.live.ShardBeat` sent with
-payload ``None``. It is in the RPR007 closure too.
+payload ``None``. The same test round-trips it too.
 
 Wire compatibility is versioned by :data:`PROTOCOL_VERSION`, stamped
 into every :class:`WorkerReady`; the coordinator rejects a worker whose

@@ -162,12 +162,11 @@ class ShardJob:
     meaning — the batched backend is equivalent to the event engine
     under the contract in :mod:`repro.sim.batched`.
 
-    This class is a serialization root of the shard boundary: every
-    type reachable from its fields must stay statically picklable
-    (``repro-lint`` RPR007 walks the closure and rejects callables,
-    loggers, locks, handles, and lambda defaults), and the
-    ``kw_only``/``slots`` declaration below is part of the checked
-    contract.
+    This class crosses the shard boundary pickled: every value in its
+    fields must stay picklable (no callables, loggers, locks or
+    handles), and the ``kw_only``/``slots`` declaration below is part
+    of the contract. ``tests/test_shard_boundary_pickle.py`` round-trips
+    a real job and checks both.
     """
 
     config: ExperimentConfig

@@ -42,9 +42,9 @@ class CoordinatorChaos:
     """Declarative chaos for the coordinator/worker runner (kw-only).
 
     The plan rides to worker processes beside each claimed job, so it
-    is plain data under the same serialization discipline as
-    :class:`~repro.faults.plan.FaultPlan` (repro-lint RPR007: no
-    callables, handles, or lambda defaults).
+    is plain data under the same pickle round-trip test as
+    :class:`~repro.faults.plan.FaultPlan`
+    (``tests/test_shard_boundary_pickle.py``).
 
     Knobs
     -----

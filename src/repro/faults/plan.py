@@ -41,9 +41,9 @@ class FaultPlan:
     """Composable fault-injection configuration (all knobs keyword-only).
 
     A plan travels inside :class:`~repro.experiments.harness.ShardJob`
-    to worker processes, so it is a serialization root checked by
-    ``repro-lint`` RPR007: every field must stay statically picklable
-    plain data (no callables, handles, or lambda defaults).
+    to worker processes, so every field must stay picklable plain data
+    (``tests/test_shard_boundary_pickle.py`` round-trips a fully
+    populated plan and checks its frozen/keyword-only contract).
 
     Injector intensities
     --------------------

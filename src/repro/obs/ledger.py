@@ -91,8 +91,9 @@ class RunRecord:
     identical build appends a record with the same id.
 
     Records cross the process boundary when runs are distributed, so
-    this class is a serialization root checked by ``repro-lint``
-    RPR007: fields must remain statically picklable plain data.
+    fields must remain picklable plain data
+    (``tests/test_shard_boundary_pickle.py`` checks the round trip and
+    ``frozen=True``).
     """
 
     experiment: str

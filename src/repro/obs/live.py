@@ -393,7 +393,7 @@ class WorkerLiveSetup:
 
     Deliberately *not* part of the job payload: the transport is
     execution plumbing, and keeping it out of :class:`ShardJob` keeps
-    the RPR007 serialization closure free of pipe handles.
+    pipe handles out of the pickled job.
     """
 
     transport: BeatTransport

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,13 +40,10 @@ def config_digest(config: "ExperimentConfig") -> str:
 def streams_manifest_hash() -> str | None:
     """sha256 of the committed RNG stream manifest, or ``None`` if absent.
 
-    ``REPRO_STREAMS_MANIFEST`` overrides the location; otherwise the
-    manifest is ``analysis/streams.json`` at the repo root, absent for
-    an installed package outside the repository.
+    The manifest is ``analysis/streams.json`` at the repo root, absent
+    for an installed package outside the repository.
     """
-    override = os.environ.get("REPRO_STREAMS_MANIFEST")
-    path = (Path(override) if override else
-            Path(__file__).resolve().parents[3] / "analysis" / "streams.json")
+    path = Path(__file__).resolve().parents[3] / "analysis" / "streams.json"
     if not path.exists():
         return None
     return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,9 +1,9 @@
 """Self-application: repro-lint must hold over this repository.
 
 These tests are the enforcement half of the determinism contract: the
-shipped tree (``src/`` and ``tests/``) must produce zero non-baselined
-findings, the committed stream manifest must match the code, and an
-injected determinism hazard must be caught (the acceptance scenario:
+shipped tree (``src/`` and ``tests/``) must produce zero findings, the
+committed stream manifest must match the code, and an injected
+determinism hazard must be caught (the acceptance scenario:
 ``np.random.default_rng()`` smuggled into ``repro/sim/processes.py``).
 """
 
@@ -15,13 +15,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_source, run_analysis
-from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding
 from repro.analysis.cli import main as lint_main
 from repro.analysis.manifest import build_stream_manifest, check_manifest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "analysis" / "repro-lint-baseline.json"
 MANIFEST = REPO_ROOT / "analysis" / "streams.json"
 
 
@@ -38,10 +35,9 @@ def repo_report():
 
 
 class TestSelfApplication:
-    def test_tree_is_clean_of_non_baselined_findings(self, repo_report):
-        baseline = Baseline.load(BASELINE)
-        new, _baselined, _stale = baseline.split(repo_report.findings)
-        assert new == [], "\n" + "\n".join(f.render() for f in new)
+    def test_tree_is_clean(self, repo_report):
+        findings = repo_report.findings
+        assert findings == [], "\n" + "\n".join(f.render() for f in findings)
 
     def test_no_parse_errors(self, repo_report):
         assert repo_report.parse_errors == []
@@ -50,12 +46,6 @@ class TestSelfApplication:
         # The walk must actually cover the tree (guards against a
         # discovery regression silently linting nothing).
         assert repo_report.files_analyzed > 100
-
-    def test_committed_baseline_is_empty(self):
-        data = json.loads(BASELINE.read_text())
-        assert data["findings"] == [], (
-            "the baseline grandfathers findings; this repo's policy is "
-            "fix-or-suppress-with-justification")
 
     def test_stream_manifest_matches_code(self, repo_report):
         assert check_manifest(repo_report.stream_sites, MANIFEST) == []
@@ -73,13 +63,6 @@ class TestSelfApplication:
         monkeypatch.chdir(REPO_ROOT)
         assert lint_main(["src", "tests", "--check-manifest"]) == 0
 
-    def test_cli_json_format(self, monkeypatch, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src/repro/sim", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["findings"] == []
-
 
 class TestInjectionScenario:
     """The acceptance drill: a smuggled RNG construction must fail."""
@@ -91,10 +74,6 @@ class TestInjectionScenario:
             "    return np.random.default_rng().random()\n")
         findings = analyze_source(injected, "src/repro/sim/processes.py")
         assert any(f.rule == "RPR002" for f in findings)
-        # And the finding is new (not absorbed by the baseline).
-        baseline = Baseline.load(BASELINE)
-        new, _, _ = baseline.split(findings)
-        assert any(f.rule == "RPR002" for f in new)
 
     def test_wall_clock_injected_into_engine_fails(self):
         source = (REPO_ROOT / "src/repro/sim/engine.py").read_text()
@@ -115,97 +94,64 @@ class TestInjectionScenario:
         assert any("trace" in p for p in problems)
 
 
-class TestBaselineMechanics:
-    def test_round_trip(self, tmp_path):
-        findings = analyze_source(
-            "import time\n\n\ndef f():\n    return time.time()\n",
-            "src/repro/sim/x.py")
-        assert findings
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(path)
-        loaded = Baseline.load(path)
-        new, baselined, stale = loaded.split(findings)
-        assert new == [] and len(baselined) == len(findings)
-        assert stale == []
+STREAM_MODULE = """\
+def draw(registry):
+    return registry.stream("trace").random()
+"""
 
-    def test_stale_entries_surface(self, tmp_path):
-        findings = analyze_source(
-            "import time\n\n\ndef f():\n    return time.time()\n",
-            "src/repro/sim/x.py")
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(path)
-        loaded = Baseline.load(path)
-        _new, _baselined, stale = loaded.split([])
-        assert len(stale) == len(findings)
 
-    def test_fingerprint_survives_line_drift(self):
-        before = analyze_source(
-            "import time\n\n\ndef f():\n    return time.time()\n",
-            "src/repro/sim/x.py")
-        after = analyze_source(
-            "import time\n\n# a comment pushing things down\n\n"
-            "def f():\n    return time.time()\n",
-            "src/repro/sim/x.py")
-        assert before[0].line != after[0].line
-        assert before[0].fingerprint == after[0].fingerprint
+class TestStreamManifest:
+    """The manifest records files, so only file-level moves are drift."""
+
+    @pytest.fixture
+    def project(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "src/repro/sim").mkdir(parents=True)
+        (tmp_path / "src/repro/sim/draws.py").write_text(STREAM_MODULE)
+        assert lint_main(["src", "--write-manifest"]) == 0
+        return tmp_path
+
+    def test_line_moves_leave_the_manifest_byte_identical(self, project):
+        manifest = project / "analysis/streams.json"
+        before = manifest.read_bytes()
+        assert json.loads(before)["streams"] == [
+            {"name": "trace", "sites": ["src/repro/sim/draws.py"]}]
+        (project / "src/repro/sim/draws.py").write_text(
+            '"""Docstring that pushes every line down."""\n\n\n'
+            + STREAM_MODULE)
+        assert lint_main(["src", "--check-manifest"]) == 0
+        assert lint_main(["src", "--write-manifest"]) == 0
+        assert manifest.read_bytes() == before
+
+    def test_a_stream_moving_files_is_drift(self, project, capsys):
+        (project / "src/repro/sim/draws.py").rename(
+            project / "src/repro/sim/moved.py")
+        assert lint_main(["src", "--check-manifest"]) == 1
+        assert "call sites moved" in capsys.readouterr().out
+
+    def test_any_other_difference_is_drift(self, project, capsys):
+        manifest = project / "analysis/streams.json"
+        payload = json.loads(manifest.read_text())
+        payload["_comment"] = "hand-edited"
+        manifest.write_text(json.dumps(payload))
+        assert lint_main(["src", "--check-manifest"]) == 1
+        assert "outside its stream list" in capsys.readouterr().out
 
 
 class TestCliGrowth:
-    """The PR-2 surface: --paths subsets, SARIF, baseline prune."""
+    """Positional paths: file subsets and missing paths."""
 
     def test_paths_file_subset(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        code = lint_main(["--paths",
-                          "src/repro/sim/rng.py,src/repro/sim/engine.py",
-                          "--format", "json"])
+        code = lint_main(["src/repro/sim/rng.py", "src/repro/sim/engine.py"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["files_analyzed"] == 2
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.endswith(" 2 file(s) analyzed"), summary
 
     def test_paths_missing_file_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["--paths", "src/repro/nope.py"]) == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_sarif_output_validates(self, monkeypatch, capsys):
-        from repro.analysis.sarif import validate_sarif
-        monkeypatch.chdir(REPO_ROOT)
-        assert lint_main(["src/repro/sim", "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert validate_sarif(doc) == []
-
-    def test_baseline_prune_drops_stale_entries(self, monkeypatch,
-                                                tmp_path, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        stale = Finding(rule="RPR001", message="long-gone hazard",
-                        path="src/repro/sim/engine.py", line=1, col=0,
-                        scope="gone")
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings([stale]).save(path)
-        code = lint_main(["baseline", "prune", "src/repro/sim",
-                          "--baseline", str(path)])
-        assert code == 0
-        assert "pruned 1 stale" in capsys.readouterr().out
-        assert Baseline.load(path).entries == {}
-
-    def test_baseline_prune_check_fails_without_writing(self, monkeypatch,
-                                                        tmp_path, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        stale = Finding(rule="RPR001", message="long-gone hazard",
-                        path="src/repro/sim/engine.py", line=1, col=0,
-                        scope="gone")
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings([stale]).save(path)
-        code = lint_main(["baseline", "prune", "src/repro/sim",
-                          "--baseline", str(path), "--check"])
-        assert code == 1
-        assert "stale" in capsys.readouterr().out
-        assert len(Baseline.load(path).entries) == 1  # untouched
-
-    def test_baseline_prune_clean_is_noop(self, monkeypatch, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        code = lint_main(["baseline", "prune", "src/repro/faults",
-                          "--baseline", str(BASELINE), "--check"])
-        assert code == 0
-        assert "no stale entries" in capsys.readouterr().out
+        assert lint_main(["src/repro/sim", "src/repro/nope.py"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro-lint: path(s) not found: src/repro/nope.py"]

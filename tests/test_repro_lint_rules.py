@@ -643,7 +643,7 @@ class TestContext:
 
 
 # ---------------------------------------------------------------------
-# Interprocedural rules (RPR006-RPR008) - injected-violation drills
+# Interprocedural rules (RPR006, RPR008) - injected-violation drills
 # ---------------------------------------------------------------------
 
 
@@ -774,88 +774,6 @@ class TestShardPurity:
             """}, select=["RPR006"])
         assert rules_of(findings) == {"RPR006"}
         assert "mutable class-level default" in findings[0].message
-
-
-class TestSerializationSafety:
-    def test_callable_field_rejected(self):
-        findings = project_lint({HARNESS: """
-            from dataclasses import dataclass
-            from typing import Callable
-
-            @dataclass(slots=True, kw_only=True)
-            class ShardJob:
-                hook: Callable[[int], int]
-            """}, select=["RPR007"])
-        assert rules_of(findings) == {"RPR007"}
-        assert "Callable" in findings[0].message
-
-    def test_missing_contract_flags_rejected(self):
-        findings = project_lint({HARNESS: """
-            from dataclasses import dataclass
-
-            @dataclass
-            class ShardJob:
-                horizon_s: float = 0.0
-            """}, select=["RPR007"])
-        messages = " ".join(f.message for f in findings)
-        assert rules_of(findings) == {"RPR007"}
-        assert "kw_only" in messages and "slots" in messages
-
-    def test_non_dataclass_root_rejected(self):
-        findings = project_lint({HARNESS: """
-            class ShardJob:
-                def __init__(self):
-                    self.horizon_s = 0.0
-            """}, select=["RPR007"])
-        assert rules_of(findings) == {"RPR007"}
-        assert "not a dataclass" in findings[0].message
-
-    def test_lambda_default_factory_rejected(self):
-        findings = project_lint({HARNESS: """
-            from dataclasses import dataclass, field
-
-            @dataclass(slots=True, kw_only=True)
-            class ShardJob:
-                counts: dict = field(default_factory=lambda: {})
-            """}, select=["RPR007"])
-        assert rules_of(findings) == {"RPR007"}
-        assert "lambda" in findings[0].message
-
-    def test_banned_type_found_through_closure(self):
-        findings = project_lint({
-            HARNESS: """
-                from dataclasses import dataclass
-
-                from repro.sim.payload import Payload
-
-                @dataclass(slots=True, kw_only=True)
-                class ShardJob:
-                    payload: Payload
-                """,
-            "src/repro/sim/payload.py": """
-                import logging
-                from dataclasses import dataclass
-
-                @dataclass
-                class Payload:
-                    log: logging.Logger
-                """,
-        }, select=["RPR007"])
-        assert rules_of(findings) == {"RPR007"}
-        assert "closure of ShardJob" in findings[0].message
-        assert findings[0].path == "src/repro/sim/payload.py"
-
-    def test_clean_value_type_passes(self):
-        findings = project_lint({HARNESS: """
-            from dataclasses import dataclass, field
-
-            @dataclass(slots=True, kw_only=True)
-            class ShardJob:
-                config: dict = field(default_factory=dict)
-                horizon_s: float = 0.0
-                mode: str = "prefetch"
-            """}, select=["RPR007"])
-        assert findings == []
 
 
 class TestUnitFlow:

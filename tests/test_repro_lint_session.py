@@ -1,24 +1,19 @@
-"""Interprocedural session: module graph, call graph, on-disk run, SARIF.
+"""Interprocedural session: module graph, call graph, on-disk run.
 
 Covers the project-wide half of ``repro-lint``: symbol resolution
 across import aliases and ``__init__.py`` re-exports, shard
-reachability, suppression of project findings on an on-disk run, the
-gitignore-aware file walker, and the SARIF writer with its embedded
-structural validator.
+reachability, suppression of project findings on an on-disk run, and
+the gitignore-aware file walker.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 from repro.analysis.callgraph import CallGraph, ProjectContext
 from repro.analysis.engine import GitIgnore, iter_python_files, run_analysis
-from repro.analysis.findings import Finding
 from repro.analysis.modgraph import ModuleGraph, build_summary
 from repro.analysis.context import FileContext
-from repro.analysis.reporter import LintOutcome
-from repro.analysis.sarif import render_sarif, sarif_report, validate_sarif
 from repro.analysis.session import AnalysisSession
 
 
@@ -258,65 +253,6 @@ class TestFileWalker:
         gitignore = GitIgnore(["skipme_*.py"])
         found = list(iter_python_files([target], gitignore=gitignore))
         assert found == [target]
-
-
-# ---------------------------------------------------------------------
-# SARIF output
-# ---------------------------------------------------------------------
-
-
-def outcome_with_findings() -> LintOutcome:
-    finding = Finding(rule="RPR006", message="writes module global '_X'",
-                      path="src/repro/sim/loop.py", line=12, col=4,
-                      scope="run")
-    noted = Finding(rule="RPR003", message="mixes scales",
-                    path="src/repro/sim/clock.py", line=3, col=0,
-                    scope="<module>")
-    return LintOutcome(new_findings=[finding], baselined=[noted],
-                       files_analyzed=2)
-
-
-class TestSarif:
-    def test_report_is_schema_clean(self):
-        doc = sarif_report(outcome_with_findings())
-        assert validate_sarif(doc) == []
-
-    def test_round_trip_and_structure(self):
-        doc = json.loads(render_sarif(outcome_with_findings()))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"RPR001", "RPR006", "RPR007", "RPR008"} <= rule_ids
-        levels = [result["level"] for result in run["results"]]
-        assert levels == ["error", "note"]
-        first = run["results"][0]
-        location = first["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/sim/loop.py"
-        assert location["region"]["startLine"] == 12
-        assert location["region"]["startColumn"] == 5  # 1-based
-        assert "reproLint/v1" in first["partialFingerprints"]
-
-    def test_parse_errors_surface_as_notifications(self):
-        outcome = LintOutcome(parse_errors=["bad.py: invalid syntax"])
-        doc = sarif_report(outcome)
-        invocation = doc["runs"][0]["invocations"][0]
-        assert invocation["executionSuccessful"] is False
-        texts = [note["message"]["text"]
-                 for note in invocation["toolExecutionNotifications"]]
-        assert texts == ["bad.py: invalid syntax"]
-
-    def test_validator_rejects_broken_documents(self):
-        assert validate_sarif({"runs": []})  # missing version
-        assert validate_sarif({"version": "2.0.0", "runs": [{}]})
-        doc = sarif_report(outcome_with_findings())
-        doc["runs"][0]["results"][0]["level"] = "catastrophic"
-        assert any("invalid level" in p for p in validate_sarif(doc))
-        doc2 = sarif_report(outcome_with_findings())
-        region = (doc2["runs"][0]["results"][0]["locations"][0]
-                  ["physicalLocation"]["region"])
-        region["startLine"] = 0
-        assert any("startLine" in p for p in validate_sarif(doc2))
 
 
 # ---------------------------------------------------------------------
