@@ -9,7 +9,8 @@
 
 Findings print as ``path:line:col: RULE message``, then one summary
 line. Exit codes: 0 clean, 1 findings (or manifest drift / parse
-errors), 2 usage error (including a path that does not exist).
+errors), 2 usage error (including a path that does not exist and a
+named file that is not a ``.py`` file).
 
 (Equivalently: ``python -m repro.analysis ...``.)
 """
@@ -70,6 +71,12 @@ def main(argv: list[str] | None = None) -> int:
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         print(f"repro-lint: path(s) not found: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
+    not_python = [p for p in paths
+                  if Path(p).is_file() and Path(p).suffix != ".py"]
+    if not_python:
+        print(f"repro-lint: not a .py file: {', '.join(not_python)}",
               file=sys.stderr)
         return 2
     report = run_analysis(paths)

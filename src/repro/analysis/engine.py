@@ -85,7 +85,8 @@ def iter_python_files(paths: Sequence[str | Path],
     ``__pycache__``, virtualenvs, and (when ``gitignore`` is given or a
     ``.gitignore`` exists in the working directory) gitignored paths are
     skipped. Explicit file arguments always win — naming a file lints
-    it even if a pattern would ignore it.
+    it even if a pattern would ignore it. A named file that is not a
+    ``.py`` file yields nothing (the CLI rejects it as a usage error).
     """
     if gitignore is None:
         gitignore = GitIgnore.load(".")

@@ -64,13 +64,19 @@ def check_manifest(sites: list[StreamSite],
         on_disk = json.loads(target.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, OSError) as exc:
         return [f"stream manifest {target} is unreadable: {exc}"]
+    streams = on_disk.get("streams", []) if isinstance(on_disk, dict) else None
+    if not (isinstance(streams, list)
+            and all(isinstance(entry, dict) for entry in streams)):
+        return [f"stream manifest {target} is not an object with a list "
+                "of streams; run 'repro-lint --write-manifest' and commit "
+                "the result"]
     expected = build_stream_manifest(sites)
     if on_disk == expected:
         return []
     current = {entry["name"]: entry["sites"]
                for entry in expected["streams"]}
     recorded = {str(entry.get("name")): entry.get("sites")
-                for entry in on_disk.get("streams", [])}
+                for entry in streams}
     problems: list[str] = []
     for name in sorted(set(current) - set(recorded)):
         problems.append(

@@ -187,7 +187,6 @@ class ClassInfo:
     line: int
     col: int
     bases: list[str] = field(default_factory=list)
-    is_dataclass: bool = False
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
 
@@ -542,8 +541,7 @@ def build_summary(ctx: FileContext) -> ModuleSummary:
                     qualname=qualname, line=node.lineno,
                     col=node.col_offset,
                     bases=[token for base in node.bases
-                           for token in _annotation_tokens(base, ctx)],
-                    is_dataclass=is_dc)
+                           for token in _annotation_tokens(base, ctx)])
                 for item in node.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(
                             item.target, ast.Name):

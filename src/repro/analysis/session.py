@@ -38,7 +38,6 @@ class StreamSite:
 
     template: str
     path: str
-    line: int
 
 
 @dataclass(slots=True)
@@ -96,9 +95,8 @@ class AnalysisSession:
             # streams are not part of the reproducibility surface.
             if not ctx.is_test:
                 report.stream_sites.extend(
-                    StreamSite(template=template, path=ctx.path,
-                               line=node.lineno)
-                    for node, template in iter_stream_calls(ctx)
+                    StreamSite(template=template, path=ctx.path)
+                    for _node, template in iter_stream_calls(ctx)
                     if template is not None)
         report.files_analyzed = len(summaries)
         findings.extend(self.run_project(summaries))
@@ -112,7 +110,7 @@ class AnalysisSession:
                 report.findings.append(finding)
         report.findings.sort(
             key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-        report.stream_sites.sort(key=lambda s: (s.template, s.path, s.line))
+        report.stream_sites.sort(key=lambda s: (s.template, s.path))
         return report
 
 

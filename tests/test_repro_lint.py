@@ -87,7 +87,7 @@ class TestInjectionScenario:
     def test_stream_rename_breaks_manifest(self, repo_report):
         sites = [type(s)(template=("renamed" if s.template == "trace"
                                    else s.template),
-                         path=s.path, line=s.line)
+                         path=s.path)
                  for s in repo_report.stream_sites]
         problems = check_manifest(sites, MANIFEST)
         assert any("renamed" in p for p in problems)
@@ -137,6 +137,17 @@ class TestStreamManifest:
         assert lint_main(["src", "--check-manifest"]) == 1
         assert "outside its stream list" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("payload", ["[]", '{"streams": 3}',
+                                         '{"streams": [1]}'])
+    def test_a_manifest_of_the_wrong_shape_is_one_drift_line(
+            self, project, capsys, payload):
+        (project / "analysis/streams.json").write_text(payload)
+        assert lint_main(["src", "--check-manifest"]) == 1
+        drift = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("manifest: ")]
+        assert len(drift) == 1
+        assert "not an object with a list of streams" in drift[0]
+
 
 class TestCliGrowth:
     """Positional paths: file subsets and missing paths."""
@@ -155,3 +166,12 @@ class TestCliGrowth:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "repro-lint: path(s) not found: src/repro/nope.py"]
+
+    def test_paths_non_python_file_is_usage_error(self, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        assert lint_main(["src/repro/sim", "README.md"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro-lint: not a .py file: README.md"]
