@@ -21,9 +21,9 @@ coordinator (one pipe per worker, heartbeat-renewed leases, retry;
 DESIGN.md §13; see :class:`repro.runner.Runner` — results are
 bit-for-bit identical at any ``--jobs``) and
 ``--backend event|batched`` to pick the shard execution engine
-(``batched`` vectorizes the hot paths and is bit-identical to the
-reference engine under the contract in :mod:`repro.sim.batched`; see
-DESIGN.md §10). They also accept
+(the two differ only in the device: ``batched`` settles radio energy
+vectorially and is bit-identical to the reference engine under the
+contract in :mod:`repro.sim.batched`; see DESIGN.md §10). They also accept
 the observability flags: ``--metrics-out DIR`` writes one
 ``run-NNN-<system>`` artifact directory per run holding one
 ``run.json`` (run record, config, merged metrics, wall-clock profile,

@@ -211,6 +211,13 @@ class WindowedShowCurveEstimator:
 class DispatchCurve:
     """The two position-probability views the planner consumes.
 
+    Once a prediction bucket is saturated (``total >= min_samples``),
+    a query is a pure function of ``(window, bucket, depth)``, and the
+    planner asks the same ones hundreds of times per epoch; those
+    answers are memoized. Unsaturated buckets take the exact blended
+    path, which depends on the raw prediction. The memo is not told
+    about new observations: call :meth:`clear_memo` after they land.
+
     Parameters
     ----------
     windowed:
@@ -232,16 +239,36 @@ class DispatchCurve:
         self.sla_window = sla_window
         self.dup_window = min(dup_window if dup_window is not None else 2,
                               sla_window)
+        self._sla_curve = windowed.curve_for(self.sla_window)
+        self._dup_curve = windowed.curve_for(self.dup_window)
+        self._memo: dict[tuple[int, int, int], float] = {}
+
+    def clear_memo(self) -> None:
+        """Forget memoized answers (the estimator has seen new data)."""
+        self._memo.clear()
+
+    def _at_least(self, curve: ShowCurveEstimator, window: int,
+                  predicted: float, j: int) -> float:
+        if j <= 0:
+            return 1.0
+        bucket = curve.saturated_bucket(predicted)
+        if bucket is None:
+            return curve.at_least(predicted, j)
+        depth = min(j, MAX_DEPTH)
+        key = (window, bucket, depth)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = curve.empirical_tail(bucket, depth)
+        return value
 
     def sla(self, predicted: float, j: int) -> float:
         """P(position ``j`` is displayed before the deadline)."""
-        return self.windowed.at_least(predicted, j, self.sla_window)
+        return self._at_least(self._sla_curve, self.sla_window, predicted, j)
 
     def epoch(self, predicted: float, j: int) -> float:
         """P(position ``j`` is displayed before invalidation can land)."""
-        return self.windowed.at_least(predicted, j, self.dup_window)
+        return self._at_least(self._dup_curve, self.dup_window, predicted, j)
 
     # Protocol compatibility: single-probability consumers get the SLA view.
     def at_least(self, predicted: float, j: int) -> float:
         return self.sla(predicted, j)
-

@@ -55,7 +55,7 @@ from repro.prediction.base import epochs_per_day, make_predictor
 from repro.prediction.models import OraclePredictor
 from repro.radio.profiles import RadioProfile, get_profile
 from repro.server.adserver import AdServer
-from repro.sim.batched import BatchedAdServer, LogDevice
+from repro.sim.batched import LogDevice
 from repro.sim.rng import RngRegistry
 from repro.traces.generator import TraceConfig, TraceGenerator
 from repro.traces.schema import Trace
@@ -236,8 +236,8 @@ def execute_shard(job: ShardJob) -> ShardExecution:
     Dispatches each requested serving mode to the event-driven engine
     or the vectorized batched engine. The cross-user protocol order
     (server dispatch, auctions, rescue) is event-driven on both
-    backends; the batched backend replaces the per-user radio and
-    rescue hot paths with array operations (see
+    backends, which share the server and exchange; the batched backend
+    settles radio energy vectorially instead (see
     :mod:`repro.sim.batched`).
 
     Purity contract: this function and everything it reaches must be a
@@ -273,17 +273,17 @@ def _build_exchange(campaigns: CampaignPoolConfig, auction: AuctionConfig,
 def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
     """Run the prefetch system over one user subset (a shard).
 
-    Identical epoch loop on both backends; the batched backend swaps in
-    the vectorized server and device components.
+    Identical epoch loop and server on both backends; ``job.backend``
+    picks only the device class (the batched backend's
+    :class:`~repro.sim.batched.LogDevice` settles radio energy in one
+    vectorized pass).
     """
     config = job.config
     timelines = job.timelines
     counts = job.counts
     assert counts is not None  # enforced by ShardJob.__post_init__
     rng_tag = job.rng_tag
-    batched = job.backend == "batched"
-    server_cls = BatchedAdServer if batched else AdServer
-    device_cls = LogDevice if batched else Device
+    device_cls = LogDevice if job.backend == "batched" else Device
 
     registry = RngRegistry(config.seed)
     per_day = epochs_per_day(config.epoch_s)
@@ -302,8 +302,8 @@ def _execute_prefetch(job: ShardJob) -> PrefetchArtifacts:
                                config.auction_config(), registry,
                                "exchange-prefetch", rng_tag)
     policy = make_policy(config.policy, **config.policy_kwargs_full())
-    server = server_cls(config.server_config(), exchange, policy, predictors,
-                        registry.fresh("dispatch" + rng_tag))
+    server = AdServer(config.server_config(), exchange, policy, predictors,
+                      registry.fresh("dispatch" + rng_tag))
     server.warm_up({uid: counts[uid][:first_test] for uid in counts})
 
     devices = {uid: device_cls(uid, job.profile_of[uid],

@@ -637,10 +637,12 @@ class Runner:
         view — so it is derived from the config, never from
         ``parallelism``.
     backend:
-        Shard execution backend: ``"event"`` (the reference discrete
-        event engine) or ``"batched"`` (vectorized components verified
-        equivalent; see :mod:`repro.sim.batched`). Purely an execution
-        knob under the equivalence contract.
+        Shard execution backend. The backends share the epoch loop,
+        server and exchange and differ only in the device: ``"event"``
+        runs the reference radio state machine per transfer,
+        ``"batched"`` settles radio energy in one vectorized pass (see
+        :mod:`repro.sim.batched`). Purely an execution knob under the
+        equivalence contract.
     source:
         Explicit :class:`WorldSource` to draw worlds from, and to share
         its realtime baseline memo with other Runners. ``None`` builds
@@ -714,8 +716,10 @@ class Runner:
     def _jobs(self, system: str, world: World) -> list[ShardJob]:
         user_ids = list(world.timelines)
         n_shards = self.resolve_shards(len(user_ids))
-        counts = epoch_slot_counts(world.trace, world.refresh_of,
-                                   self.config.epoch_s)
+        # Only the prefetch system reads slot counts (as ShardJob.for_world).
+        counts = (epoch_slot_counts(world.trace, world.refresh_of,
+                                    self.config.epoch_s)
+                  if system != "realtime" else None)
         return [
             ShardJob(
                 config=self.config,
@@ -723,7 +727,8 @@ class Runner:
                 apps=world.apps,
                 timelines={uid: world.timelines[uid] for uid in chunk},
                 profile_of={uid: world.profile_of[uid] for uid in chunk},
-                counts={uid: counts[uid] for uid in chunk},
+                counts=(None if counts is None
+                        else {uid: counts[uid] for uid in chunk}),
                 horizon=world.trace.horizon,
                 shard_index=index,
                 n_shards=n_shards,

@@ -16,7 +16,6 @@ the existing architecture:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -131,7 +130,20 @@ class _ClientState:
 
 
 class AdServer:
-    """The prefetching ad server."""
+    """The prefetching ad server.
+
+    Sold sales wait in an *at-risk* table for :meth:`rescue`: one row
+    per sale, in ``all_sales`` order. Every epoch's deadline strictly
+    exceeds the previous epoch's, so rows are in ``(deadline,
+    sale_id)`` order and the rescue scan is a forward pass over flat
+    columns: deadline, shown (from reports) and *freshness*.
+    ``_fresh[row]`` is the latest ``_last_contact`` over the sale's
+    owners (``-inf`` for an ownerless row, ``-1.0`` for a
+    never-contacted owner), raised at every contact through a
+    user -> rows index. Owner sets shrink only in the presumed-dark
+    sweep, which therefore rebuilds the column; everywhere else owners
+    are add-only and the running max stays exact.
+    """
 
     def __init__(self, config: ServerConfig, exchange: Exchange,
                  policy: DispatchPolicy,
@@ -154,9 +166,15 @@ class AdServer:
         self.display_log = DisplayLog()
         self.shown_set: set[int] = set()      # known via reports only
         self.all_sales: list[Sale] = []
-        self._sales_by_id: dict[int, Sale] = {}
         self._sale_owners: dict[int, set[str]] = {}
-        self._at_risk: list[tuple[float, int, Sale]] = []  # (deadline,) heap
+        # The at-risk table (see the class docstring); a row is the
+        # sale's index in all_sales, rows before _head are settled.
+        self._row_of: dict[int, int] = {}
+        self._deadlines = np.empty(0)
+        self._shown = np.empty(0, dtype=bool)
+        self._fresh = np.empty(0)
+        self._head = 0
+        self._rows_of_user: dict[str, list[int]] = {}
         self._last_contact: dict[str, float] = {}
         self._revoked: dict[str, set[int]] = {}
         self.rescues = 0
@@ -225,9 +243,13 @@ class AdServer:
 
     def plan_epoch(self, epoch_index: int, now: float) -> EpochPlanStats:
         """Sell the predicted inventory and plan its dispatch."""
+        # Observations landed since the last plan: the memoized
+        # saturated buckets are stale.
+        self._dispatch_curve.clear_memo()
         dark: set[str] = set()
         if self.config.presumed_dark_after_s is not None:
             dark = self._rescue_presumed_dark(now)
+            self._rebuild_fresh()
         forecasts: list[ClientForecast] = []
         total_predicted = 0.0
         for uid, state in self._clients.items():
@@ -249,10 +271,6 @@ class AdServer:
         to_sell = int(round(self.config.sell_factor * total_predicted))
         sales = self.exchange.sell_ahead(
             now, to_sell, deadline=now + self.config.deadline_s)
-        self.all_sales.extend(sales)
-        for sale in sales:
-            self._sales_by_id[sale.sale_id] = sale
-            heapq.heappush(self._at_risk, (sale.deadline, sale.sale_id, sale))
         plan = self.policy.plan(sales, forecasts, self._dispatch_curve,
                                 rng=self.rng,
                                 standby_until=now + self.config.standby_lag)
@@ -262,6 +280,7 @@ class AdServer:
                 owners = self._sale_owners
                 for assignment in queue:
                     owners.setdefault(assignment.sale_id, set()).add(uid)
+        self._add_rows(sales)
         stats = EpochPlanStats(
             epoch_index=epoch_index,
             predicted_total=total_predicted,
@@ -283,6 +302,70 @@ class AdServer:
                       "n_assignments": stats.assignments,
                       "n_unplaced": stats.unplaced})
         return stats
+
+    def _add_rows(self, sales: list[Sale]) -> None:
+        """Append freshly sold (and planned) ``sales`` to the table."""
+        if not sales:
+            return
+        base = len(self.all_sales)
+        if base and sales[0].deadline < self.all_sales[-1].deadline:
+            raise AssertionError("at-risk deadlines must be non-decreasing")
+        self.all_sales.extend(sales)
+        fresh = np.empty(len(sales))
+        for offset, sale in enumerate(sales):
+            self._row_of[sale.sale_id] = base + offset
+            fresh[offset] = self._index_owners(base + offset,
+                                               self._rows_of_user)
+        self._deadlines = np.concatenate(
+            [self._deadlines, [sale.deadline for sale in sales]])
+        self._shown = np.concatenate(
+            [self._shown, np.zeros(len(sales), dtype=bool)])
+        self._fresh = np.concatenate([self._fresh, fresh])
+
+    def _index_owners(self, row: int,
+                      rows_of_user: dict[str, list[int]]) -> float:
+        """File ``row`` under each owner; return the row's freshness."""
+        last_contact = self._last_contact
+        best = -math.inf
+        for owner in self._sale_owners.get(self.all_sales[row].sale_id, ()):
+            rows_of_user.setdefault(owner, []).append(row)
+            contact = last_contact.get(owner, -1.0)
+            if contact > best:
+                best = contact
+        return best
+
+    def _rebuild_fresh(self) -> None:
+        """Recompute freshness and the user -> rows index after the
+        presumed-dark sweep discarded and added owners."""
+        rows_of_user: dict[str, list[int]] = {}
+        fresh = self._fresh
+        for row in range(self._head, len(self.all_sales)):
+            fresh[row] = self._index_owners(row, rows_of_user)
+        self._rows_of_user = rows_of_user
+
+    def _bump_fresh(self, user_id: str, now: float) -> None:
+        """Raise the freshness of every live row ``user_id`` owns.
+
+        Settled rows (behind the head, or already shown) can never
+        re-enter the candidate window, so they are pruned from the
+        user's row list on the way past — the lists stay at the user's
+        live backlog size instead of growing for the whole run.
+        """
+        rows = self._rows_of_user.get(user_id)
+        if not rows:
+            return
+        fresh = self._fresh
+        shown = self._shown
+        head = self._head
+        keep: list[int] = []
+        for row in rows:
+            if row < head or shown[row]:
+                continue
+            keep.append(row)
+            if fresh[row] < now:
+                fresh[row] = now
+        if len(keep) != len(rows):
+            rows[:] = keep
 
     def _prune_state(self, state: _ClientState, now: float) -> None:
         """Drop expired/shown entries from the server's client view."""
@@ -349,12 +432,12 @@ class AdServer:
              if uid not in dark and self._last_contact.get(uid) is not None),
             key=lambda uid: (-self._last_contact[uid], uid))
         if not live:
-            # Every candidate host is dark: the sales stay in the
-            # at-risk heap for demand-driven rescue at the next contact.
+            # Every candidate host is dark: the sales stay at risk for
+            # demand-driven rescue at the next contact.
             return dark
         for index, (sid, deadline) in enumerate(
                 sorted(orphaned.items(), key=lambda item: (item[1], item[0]))):
-            sale = self._sales_by_id[sid]
+            sale = self.all_sales[self._row_of[sid]]
             uid = live[index % len(live)]
             target = self._clients[uid]
             target.pending.append(Assignment(sale, active_from=now))
@@ -395,6 +478,7 @@ class AdServer:
         self.syncs += 1
         self._sync_counter.inc()
         self._last_contact[user_id] = now
+        self._bump_fresh(user_id, now)
         invalidated = self.report(user_id, reports)
         if self._recorder.enabled and (reports or invalidated):
             self._recorder.instant(
@@ -422,9 +506,13 @@ class AdServer:
         already displayed — invalidations ride every server contact.
         """
         state = self._clients[user_id]
+        row_of = self._row_of
         for sale_id, _time in reports:
             self.shown_set.add(sale_id)
             state.delivered_unshown.pop(sale_id, None)
+            row = row_of.get(sale_id)
+            if row is not None:
+                self._shown[row] = True
         invalidated = {
             sid for sid in state.delivered_unshown if sid in self.shown_set}
         # Rescued-away ads: the rescuer took over; drop our copy before
@@ -444,6 +532,7 @@ class AdServer:
         """
         state = self._clients[user_id]
         self._last_contact[user_id] = now
+        self._bump_fresh(user_id, now)
         horizon = now + self.config.rescue_horizon
         # An owner is "safely idle" when it has been out of contact long
         # enough that any display it made must have been reported by now
@@ -451,39 +540,53 @@ class AdServer:
         epoch_start = math.floor(now / self.config.epoch_s) * self.config.epoch_s
         quiet_since = min(epoch_start, now - self.config.report_delay_s)
         desperate_by = now + 0.25 * self.config.epoch_s
+        deadlines = self._deadlines
+        shown = self._shown
+        fresh = self._fresh
+        n_rows = len(self.all_sales)
+        # Shown and expired rows at the head are settled for good; every
+        # row from the new head on has its deadline still ahead.
+        head = self._head
+        while head < n_rows and (shown[head]
+                                 or float(deadlines[head]) <= now):
+            head += 1
+        self._head = head
         picked: list[Sale] = []
-        skipped: list[tuple[float, int, Sale]] = []
-        while self._at_risk and len(picked) < self.config.rescue_batch:
-            deadline, sid, sale = heapq.heappop(self._at_risk)
-            if sid in self.shown_set or deadline <= now:
-                continue  # settled or hopeless: drop from the heap
-            if deadline > horizon:
-                # Nearest at-risk deadline is still comfortably far: the
-                # statically planned replicas keep their chance to show
-                # it without a duplicate.
-                skipped.append((deadline, sid, sale))
-                break
-            owners = self._sale_owners.setdefault(sid, set())
-            skipped.append((deadline, sid, sale))  # still at risk until shown
-            if user_id in owners:
-                continue
-            # Duplicate guard: leave the sale alone while any replica
-            # host has been active this epoch (it is consuming its queue
-            # and will reach the ad), unless the deadline is imminent.
-            if deadline > desperate_by and any(
-                    self._last_contact.get(o, -1.0) >= quiet_since
-                    for o in owners):
-                continue
-            # Transfer ownership: idle hosts lose their copy at their
-            # next contact, before they can display it.
-            for other in owners:
-                self._revoked.setdefault(other, set()).add(sid)
-                self._clients[other].delivered_unshown.pop(sid, None)
-            owners.add(user_id)
-            state.delivered_unshown[sid] = deadline
-            picked.append(sale)
-        for entry in skipped:
-            heapq.heappush(self._at_risk, entry)
+        # Rows past the horizon are comfortably far from their deadline:
+        # the statically planned replicas keep their chance to show them
+        # without a duplicate.
+        hi = int(np.searchsorted(deadlines, horizon, side="right"))
+        if head < hi:
+            # Duplicate guard: leave a sale alone while any replica host
+            # has been active this epoch (it is consuming its queue and
+            # will reach the ad), unless the deadline is imminent.
+            # ``fresh >= quiet_since`` is that ``any``; an ownerless
+            # row's -inf never blocks it.
+            pickable = head + np.flatnonzero(
+                ~shown[head:hi]
+                & ((deadlines[head:hi] <= desperate_by)
+                   | (fresh[head:hi] < quiet_since)))
+            sale_owners = self._sale_owners
+            batch = self.config.rescue_batch
+            for row in pickable.tolist():
+                if len(picked) >= batch:
+                    break
+                sale = self.all_sales[row]
+                sid = sale.sale_id
+                owners = sale_owners.setdefault(sid, set())
+                if user_id in owners:
+                    continue
+                # Transfer ownership: idle hosts lose their copy at
+                # their next contact, before they can display it.
+                for other in owners:
+                    self._revoked.setdefault(other, set()).add(sid)
+                    self._clients[other].delivered_unshown.pop(sid, None)
+                owners.add(user_id)
+                self._rows_of_user.setdefault(user_id, []).append(row)
+                if fresh[row] < now:
+                    fresh[row] = now
+                state.delivered_unshown[sid] = sale.deadline
+                picked.append(sale)
         self.rescues += len(picked)
         self._rescue_counter.inc(len(picked))
         if picked and self._recorder.enabled:

@@ -1,36 +1,26 @@
 """Vectorized shard-execution backend (``ShardJob.backend == "batched"``).
 
-The event-driven engine charges every radio transfer and rescue through
-per-object Python dispatch. That is the executable specification — easy
-to audit against the paper — but it caps single-shard throughput. This
-module supplies drop-in components that keep the *protocol order*
-identical (server dispatch, auctions, and rescue still happen event by
-event, because cross-user interaction order matters there) while
-turning the per-user hot loops into array operations:
-
-* :class:`LogDevice` — records transfers and settles radio energy
-  vectorially at the end of the run instead of running the
-  :class:`~repro.radio.statemachine.RadioStateMachine` per transfer.
-* :class:`BatchedAdServer` — the at-risk rescue scan over flat deadline
-  arrays instead of re-heapifying the at-risk heap on every dry cache.
-* :class:`CachedCurve` — memoizes saturated show-curve buckets, which
-  the dispatch policy queries hundreds of times per epoch.
-
-Auctions are not a backend choice: both backends sell through the one
-array-backed :class:`~repro.exchange.marketplace.Exchange`.
-``BatchedExchange`` survives only as an alias of it.
+The two backends differ only in the device. The event-driven engine
+charges every radio transfer through the per-transfer
+:class:`~repro.radio.statemachine.RadioStateMachine`; that is the
+executable specification, easy to audit against the paper. The batched
+backend swaps in :class:`LogDevice`, which records transfers and
+settles radio energy vectorially at the end of the run. Everything
+else is shared: both backends run the same epoch loop, the one
+:class:`~repro.server.adserver.AdServer` (with its array-backed rescue
+scan) and the one array-backed
+:class:`~repro.exchange.marketplace.Exchange`. ``BatchedExchange``
+survives only as an alias of the latter.
 
 Equivalence contract
 --------------------
-Each replacement reproduces the event engine's observable behaviour
-draw-for-draw: the same RNG streams are consumed in the same order, so
-sales, schedules, and fault decisions are identical, and the energy
-arithmetic applies the exact scalar formulas elementwise. In practice
-the backends are bit-identical; :data:`DEFAULT_CONTRACT` is the formal
-per-metric bound CI enforces (and whose parameters are hashed into
-every batched run's :class:`~repro.obs.ledger.RunRecord`), so any
-future batched optimisation that trades exactness for speed must widen
-the contract visibly. See DESIGN.md §10.
+:class:`LogDevice` consumes no randomness and applies the exact scalar
+energy formulas elementwise, in the event engine's summation order, so
+the backends are bit-identical in practice; :data:`DEFAULT_CONTRACT`
+is the formal per-metric bound CI enforces (and whose parameters are
+hashed into every batched run's :class:`~repro.obs.ledger.RunRecord`),
+so any future batched optimisation that trades exactness for speed
+must widen the contract visibly. See DESIGN.md §10.
 
 This module is a shard entry point for ``repro-lint``'s
 interprocedural pass: everything reachable from it must satisfy the
@@ -57,11 +47,9 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.showcurve import MAX_DEPTH, DispatchCurve
-from repro.exchange.marketplace import Exchange, Sale
+from repro.exchange.marketplace import Exchange
 from repro.obs.runtime import current_obs
 from repro.radio.profiles import RadioProfile
-from repro.server.adserver import AdServer, SyncResponse
 
 TAG_AD = "ad"
 TAG_APP = "app"
@@ -262,263 +250,6 @@ class LogDevice:
 # Both backends sell through Exchange; perfbench/adapter.py imports this
 # name and traces its _eligible_rows.
 BatchedExchange = Exchange
-
-
-# ----------------------------------------------------------------------
-# Show curve: saturated-bucket memoization
-# ----------------------------------------------------------------------
-
-
-class CachedCurve:
-    """Memoizing facade over a :class:`DispatchCurve`.
-
-    Once a prediction bucket is saturated (``total >= min_samples``),
-    ``at_least`` is a pure function of ``(window, bucket, depth)``; the
-    base estimator still recomputes the Poisson prior on every call.
-    Unsaturated buckets fall through to the exact blended path (which
-    depends on the raw prediction and cannot be memoized). The cache is
-    invalidated whenever new observations land (once per planning
-    epoch).
-    """
-
-    __slots__ = ("_dispatch", "sla_window", "dup_window", "_cache",
-                 "_estimator_of")
-
-    def __init__(self, dispatch: DispatchCurve) -> None:
-        self._dispatch = dispatch
-        self.sla_window = dispatch.sla_window
-        self.dup_window = dispatch.dup_window
-        self._cache: dict[tuple[int, int, int], float] = {}
-        # The two windows are fixed at construction; resolve their
-        # estimators once instead of per query.
-        self._estimator_of = {
-            window: dispatch.windowed.curve_for(window)
-            for window in sorted({dispatch.sla_window, dispatch.dup_window})
-        }
-
-    def invalidate(self) -> None:
-        self._cache.clear()
-
-    def _at_least(self, window: int, predicted: float, j: int) -> float:
-        if j <= 0:
-            return 1.0
-        estimator = self._estimator_of[window]
-        bucket = estimator.saturated_bucket(predicted)
-        if bucket is None:
-            return estimator.at_least(predicted, j)
-        depth = min(j, MAX_DEPTH)
-        key = (window, bucket, depth)
-        value = self._cache.get(key)
-        if value is None:
-            value = estimator.empirical_tail(bucket, depth)
-            self._cache[key] = value
-        return value
-
-    def sla(self, predicted: float, j: int) -> float:
-        return self._at_least(self.sla_window, predicted, j)
-
-    def epoch(self, predicted: float, j: int) -> float:
-        return self._at_least(self.dup_window, predicted, j)
-
-    def at_least(self, predicted: float, j: int) -> float:
-        return self.sla(predicted, j)
-
-
-# ----------------------------------------------------------------------
-# Ad server: flat-array rescue scan
-# ----------------------------------------------------------------------
-
-
-class BatchedAdServer(AdServer):
-    """Ad server with an array-backed at-risk scan.
-
-    Sales enter the at-risk set in ``(deadline, sale_id)`` order (every
-    epoch's deadline strictly exceeds the previous epoch's), so the
-    event engine's heap pops are equivalent to a forward scan over flat
-    arrays. :meth:`rescue` walks the in-horizon candidates in row order
-    and applies the exact guard-and-handoff sequence of the base
-    implementation, touching only live ``_sale_owners`` /
-    ``_last_contact`` state — so picks, revocations, and counters are
-    identical call for call.
-
-    The quiet-owner guard is evaluated as an array compare against a
-    per-row *freshness* column: ``_r_fresh[row]`` is the max
-    ``_last_contact`` over the sale's owners (``-inf`` for ownerless
-    rows, the per-owner ``-1.0`` never-contacted default otherwise),
-    maintained incrementally at every contact via a user → rows index.
-    Owner sets only shrink inside the presumed-dark sweep, so that hook
-    rebuilds the column wholesale; everywhere else owners are add-only
-    and the running max stays exact.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._dispatch_curve = CachedCurve(self._dispatch_curve)
-        self._r_deadlines = np.empty(0)
-        self._r_sids: list[int] = []
-        self._r_sales: list[Sale] = []
-        self._r_shown = np.empty(0, dtype=bool)
-        self._r_fresh = np.empty(0)
-        self._r_row_of: dict[int, int] = {}
-        self._r_head = 0
-        self._rows_of_user: dict[str, list[int]] = {}
-
-    # -- at-risk bookkeeping ------------------------------------------
-
-    def plan_epoch(self, epoch_index: int, now: float):
-        self._dispatch_curve.invalidate()
-        cursor = len(self.all_sales)
-        stats = super().plan_epoch(epoch_index, now)
-        new = self.all_sales[cursor:]
-        if new:
-            if (self._r_sales
-                    and new[0].deadline < float(self._r_deadlines[-1])):
-                raise AssertionError(
-                    "at-risk deadlines must be non-decreasing")
-            base = len(self._r_sales)
-            fresh_new = np.empty(len(new))
-            last_contact = self._last_contact
-            rows_of_user = self._rows_of_user
-            for offset, sale in enumerate(new):
-                row = base + offset
-                self._r_row_of[sale.sale_id] = row
-                self._r_sids.append(sale.sale_id)
-                self._r_sales.append(sale)
-                best = -math.inf
-                for owner in self._sale_owners.get(sale.sale_id, ()):
-                    rows_of_user.setdefault(owner, []).append(row)
-                    contact = last_contact.get(owner, -1.0)
-                    if contact > best:
-                        best = contact
-                fresh_new[offset] = best
-            self._r_deadlines = np.concatenate(
-                [self._r_deadlines, [s.deadline for s in new]])
-            self._r_shown = np.concatenate(
-                [self._r_shown, np.zeros(len(new), dtype=bool)])
-            self._r_fresh = np.concatenate([self._r_fresh, fresh_new])
-        return stats
-
-    def _bump_fresh(self, user_id: str, now: float) -> None:
-        """Raise the freshness of every live row ``user_id`` owns.
-
-        Settled rows (behind the head, or already shown) can never
-        re-enter the candidate window, so they are pruned from the
-        user's row list on the way past — the lists stay at the user's
-        live backlog size instead of growing for the whole run.
-        """
-        rows = self._rows_of_user.get(user_id)
-        if not rows:
-            return
-        fresh = self._r_fresh
-        shown = self._r_shown
-        head = self._r_head
-        keep: list[int] = []
-        for row in rows:
-            if row < head or shown[row]:
-                continue
-            keep.append(row)
-            if fresh[row] < now:
-                fresh[row] = now
-        if len(keep) != len(rows):
-            rows[:] = keep
-
-    def sync(self, user_id: str, now: float,
-             reports: list[tuple[int, float]]) -> SyncResponse:
-        response = super().sync(user_id, now, reports)
-        self._bump_fresh(user_id, now)
-        return response
-
-    def _rescue_presumed_dark(self, now: float) -> set[str]:
-        dark = super()._rescue_presumed_dark(now)
-        # The sweep discards owners (the running max may drop) and
-        # redispatches orphans (new ownership): rebuild the freshness
-        # column and the user -> rows index over the live window.
-        last_contact = self._last_contact
-        sale_owners = self._sale_owners
-        fresh = self._r_fresh
-        rows_of_user: dict[str, list[int]] = {}
-        for row in range(self._r_head, len(self._r_sales)):
-            best = -math.inf
-            for owner in sale_owners.get(self._r_sids[row], ()):
-                rows_of_user.setdefault(owner, []).append(row)
-                contact = last_contact.get(owner, -1.0)
-                if contact > best:
-                    best = contact
-            fresh[row] = best
-        self._rows_of_user = rows_of_user
-        return dark
-
-    def report(self, user_id: str,
-               reports: list[tuple[int, float]]) -> set[int]:
-        invalidated = super().report(user_id, reports)
-        row_of = self._r_row_of
-        shown = self._r_shown
-        for sale_id, _time in reports:
-            row = row_of.get(sale_id)
-            if row is not None:
-                shown[row] = True
-        return invalidated
-
-    # -- rescue -------------------------------------------------------
-
-    def rescue(self, user_id: str, now: float) -> list[Sale]:
-        state = self._clients[user_id]
-        self._last_contact[user_id] = now
-        self._bump_fresh(user_id, now)
-        fresh = self._r_fresh
-        horizon = now + self.config.rescue_horizon
-        epoch_start = (math.floor(now / self.config.epoch_s)
-                       * self.config.epoch_s)
-        quiet_since = min(epoch_start, now - self.config.report_delay_s)
-        desperate_by = now + 0.25 * self.config.epoch_s
-        deadlines = self._r_deadlines
-        shown = self._r_shown
-        n_rows = len(self._r_sales)
-        # Advance past the permanently settled prefix.
-        head = self._r_head
-        while head < n_rows and (shown[head]
-                                 or float(deadlines[head]) <= now):
-            head += 1
-        self._r_head = head
-        picked: list[Sale] = []
-        if head < n_rows:
-            hi = int(np.searchsorted(deadlines, horizon, side="right"))
-            window_dl = deadlines[head:hi]
-            # The quiet-owner guard vectorized: a live row survives when
-            # its deadline is desperate or every owner has been silent
-            # since ``quiet_since`` (``any(contact >= quiet_since)`` ==
-            # ``fresh >= quiet_since``; an ownerless row's -inf never
-            # blocks it, matching ``any(()) == False``).
-            pickable = head + np.flatnonzero(
-                ~shown[head:hi] & (window_dl > now)
-                & ((window_dl <= desperate_by)
-                   | (fresh[head:hi] < quiet_since)))
-            sale_owners = self._sale_owners
-            batch = self.config.rescue_batch
-            for row in pickable.tolist():
-                if len(picked) >= batch:
-                    break
-                sale = self._r_sales[row]
-                sid = sale.sale_id
-                owners = sale_owners.setdefault(sid, set())
-                if user_id in owners:
-                    continue
-                for other in owners:
-                    self._revoked.setdefault(other, set()).add(sid)
-                    self._clients[other].delivered_unshown.pop(sid, None)
-                owners.add(user_id)
-                self._rows_of_user.setdefault(user_id, []).append(row)
-                if fresh[row] < now:
-                    fresh[row] = now
-                state.delivered_unshown[sid] = sale.deadline
-                picked.append(sale)
-        self.rescues += len(picked)
-        self._rescue_counter.inc(len(picked))
-        if picked and self._recorder.enabled:
-            self._recorder.instant(now, "server", "rescue",
-                                   args={"user": user_id,
-                                         "n_sales": len(picked)})
-        return picked
 
 
 # ----------------------------------------------------------------------

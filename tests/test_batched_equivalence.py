@@ -1,11 +1,14 @@
 """Property-based equivalence: the batched backend vs the event engine.
 
 :data:`repro.sim.batched.DEFAULT_CONTRACT` claims the batched backend
-reproduces the event engine bit for bit on every reported metric. These
-tests attack that claim from both ends — unit-level drop-in components
-against their event-engine counterparts on randomized inputs, and whole
-headline executions across randomized configs, seeds, and fault plans
-at parallelism 1 and 4.
+reproduces the event engine bit for bit on every reported metric. The
+backends differ only in the device, so these tests attack that claim
+from both ends — :class:`~repro.sim.batched.LogDevice` against the
+event engine's :class:`~repro.client.device.Device` on randomized
+transfer schedules, and whole headline executions across randomized
+configs, seeds, and fault plans at parallelism 1 and 4. The one ad
+server is held to its heap-scan oracle in ``test_adserver_oracle.py``;
+its dispatch curve's memo is checked here against the exact estimator.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.radio.profiles import THREE_G, WIFI
 from repro.runner import Runner
 from repro.sim.batched import (
     DEFAULT_CONTRACT,
-    CachedCurve,
     LogDevice,
     assert_equivalent,
     contract_violations,
@@ -86,7 +88,7 @@ def test_log_device_refuses_timeline_instrumentation():
 
 
 # ----------------------------------------------------------------------
-# CachedCurve vs DispatchCurve: saturated-bucket memoization
+# DispatchCurve's saturated-bucket memo vs the exact estimator
 # ----------------------------------------------------------------------
 
 _observations = st.lists(
@@ -109,18 +111,23 @@ def test_cached_curve_matches_exact_curve(obs, queries):
     windowed = WindowedShowCurveEstimator(max_window=4, min_samples=5)
     for predicted, actual in obs:
         windowed.observe("u", predicted, actual)
-    exact = DispatchCurve(windowed, sla_window=4)
-    cached = CachedCurve(DispatchCurve(windowed, sla_window=4))
-    for predicted, j in queries:
-        assert cached.sla(predicted, j) == exact.sla(predicted, j)
-        assert cached.epoch(predicted, j) == exact.epoch(predicted, j)
-        assert cached.at_least(predicted, j) == exact.at_least(predicted, j)
+    curve = DispatchCurve(windowed, sla_window=4)
+
+    def check() -> None:
+        for predicted, j in queries:
+            sla = windowed.at_least(predicted, j, curve.sla_window)
+            assert curve.sla(predicted, j) == sla
+            assert curve.at_least(predicted, j) == sla
+            assert (curve.epoch(predicted, j)
+                    == windowed.at_least(predicted, j, curve.dup_window))
+
+    check()
+    check()   # answered from the memo where the bucket is saturated
     # New observations invalidate the memo; answers must track.
     for predicted, actual in obs[:20]:
         windowed.observe("v", predicted, actual + 1)
-    cached.invalidate()
-    for predicted, j in queries:
-        assert cached.sla(predicted, j) == exact.sla(predicted, j)
+    curve.clear_memo()
+    check()
 
 
 # ----------------------------------------------------------------------

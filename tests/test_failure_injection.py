@@ -83,6 +83,7 @@ def test_server_with_zero_predictions_sells_nothing():
 
 
 def test_rescue_with_empty_at_risk_heap():
+    """Rescue before any sale exists picks nothing and does not fail."""
     config = ServerConfig(epoch_s=HOUR, deadline_s=4 * HOUR)
     exchange = Exchange([Campaign("c", "a", 2.0, 1e9)],
                         AuctionConfig(), RngRegistry(1).fresh("x"))

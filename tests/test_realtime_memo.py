@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.presets import apply_preset
+from repro import runner as runner_module
 from repro.experiments import harness
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.e13_faults import plan_for
@@ -120,6 +121,23 @@ def test_e9_replays_the_baseline_once_per_shard(monkeypatch):
     table = run_e9(CONFIG)
     assert len(calls) == 2
     assert len(table.rows) == len(E9_SYSTEMS)
+
+
+def test_realtime_runs_build_no_slot_counts(monkeypatch):
+    """Only the prefetch system reads per-user slot counts."""
+    calls = []
+    counts = runner_module.epoch_slot_counts
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counts(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "epoch_slot_counts", counting)
+    monkeypatch.setattr(harness, "epoch_slot_counts", counting)
+    Runner(CONFIG, shards=2).run("realtime")
+    assert calls == []
+    Runner(CONFIG, shards=2).run("prefetch")
+    assert len(calls) == 1
 
 
 def test_hit_telemetry_counts_only_the_executed_half():

@@ -185,7 +185,7 @@ def test_finalize_settles_all_sales():
 
 
 # ----------------------------------------------------------------------
-# Resilience: presumed-dark rescue, degraded epochs, heap hygiene
+# Resilience: presumed-dark rescue, degraded epochs, at-risk hygiene
 # ----------------------------------------------------------------------
 
 
@@ -213,11 +213,11 @@ def test_presumed_dark_reclaims_and_redispatches_to_live_host():
 
 
 def test_presumed_dark_all_candidate_hosts_dark():
-    """When every contacted client is presumed dark, orphans stay in the
-    at-risk heap (no crash, no dispatch to a dark host) and wait for
+    """When every contacted client is presumed dark, orphans stay at
+    risk (no crash, no dispatch to a dark host) and wait for
     demand-driven rescue at the next live contact."""
     server = _server(sell_factor=1.0, presumed_dark_after_s=HOUR,
-                     deadline_s=8 * HOUR)
+                     deadline_s=8 * HOUR, rescue_batch=10_000)
     _warm(server, 5)
     now = 72 * HOUR
     server.plan_epoch(72, now)
@@ -232,11 +232,10 @@ def test_presumed_dark_all_candidate_hosts_dark():
     # queue has nothing to reclaim.)
     assert server.presumed_dark >= 1
     assert server.redispatched == 0
-    heap_ids = {sid for _, sid, _ in server._at_risk}
-    assert delivered <= heap_ids
-    # A dark host coming back rescues its own orphans (demand-driven).
+    # A dark host coming back rescues the orphans (demand-driven), its
+    # own included: every delivered sale is still at risk and ownerless.
     rescued = server.rescue("u1", now + 7.5 * HOUR)
-    assert rescued
+    assert delivered <= {sale.sale_id for sale in rescued}
 
 
 def test_presumed_dark_ignores_never_contacted_clients():
@@ -252,23 +251,28 @@ def test_presumed_dark_ignores_never_contacted_clients():
 
 
 def test_rescue_drops_settled_and_hopeless_sales_from_heap():
-    """The 'settled or hopeless' pop path: shown sales and sales past
-    their deadline leave the at-risk heap for good."""
-    server = _server(sell_factor=1.0, rescue_batch=8,
+    """Shown sales and sales past their deadline are never rescued:
+    they leave the at-risk table for good."""
+    server = _server(sell_factor=1.0, rescue_batch=10_000,
                      rescue_horizon_s=4 * HOUR)
     _warm(server, 5)
     now = 72 * HOUR
     server.plan_epoch(72, now)
-    heap_before = len(server._at_risk)
-    assert heap_before > 0
-    # Mark one sale shown via a report; push every other past deadline.
+    assert server.all_sales
+    # Mark one sale shown via a report.
     response = server.sync("u1", now + 10.0, reports=[])
     shown = response.assignments[0].sale_id
     server.report("u1", [(shown, now + 20.0)])
+    # Next epoch both owners are quiet: every unshown sale u2 does not
+    # hold is rescued, the shown one is not.
+    rescued = {sale.sale_id for sale in server.rescue("u2", now + 1.5 * HOUR)}
+    held_by_u2 = {sid for sid, owners in server._sale_owners.items()
+                  if "u2" in owners} - rescued
+    assert rescued == ({sale.sale_id for sale in server.all_sales}
+                       - {shown} - held_by_u2)
+    # Past the deadline nothing is rescued, and nothing resurrects later.
     after_deadline = now + 5 * HOUR
     assert server.rescue("u2", after_deadline) == []
-    assert server._at_risk == []            # heap fully drained
-    # And nothing resurrects them later.
     assert server.rescue("u1", after_deadline + 10.0) == []
 
 
